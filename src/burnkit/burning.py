@@ -11,12 +11,19 @@ the ball-union form, and the two are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import GraphError, InputError, ScheduleError
-from .graph import Graph, UNREACHED, ball, bfs_distances, connected_components
+from .errors import InputError, ScheduleError
+from .graph import (
+    Graph,
+    UNREACHED,
+    ball,
+    ball_distances,
+    bfs_distances,
+    connected_components,
+    radical_center,
+)
 
 Cluster = frozenset[int]
 
@@ -30,10 +37,6 @@ class BurningSchedule:
     @classmethod
     def of(cls, sources: Iterable[int]) -> "BurningSchedule":
         return cls(tuple(sources))
-
-    @property
-    def k(self) -> int:
-        return len(self.sources)
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -54,12 +57,6 @@ class BurnOutcome:
     rounds_used: int
     complete: bool
     burn_round: tuple[int | None, ...]
-
-    @property
-    def burned(self) -> frozenset[int]:
-        return frozenset(
-            v for v, r in enumerate(self.burn_round) if r is not None
-        )
 
     def burned_by_round(self, t: int) -> frozenset[int]:
         return frozenset(
@@ -170,7 +167,7 @@ def verify_schedule(
     k = len(sources)
     dist_maps: list[dict[int, int]] = []
     for i, src in enumerate(sources, start=1):
-        dist_maps.append(_bounded_distances(g, src, k - i))
+        dist_maps.append(ball_distances(g, (src,), k - i))
     for t in range(2, k + 1):
         x = sources[t - 1]
         for i in range(1, t):
@@ -186,22 +183,6 @@ def verify_schedule(
     return len(covered) == g.n
 
 
-def _bounded_distances(g: Graph, src: int, radius: int) -> dict[int, int]:
-    dist = {src: 0}
-    q: deque[int] = deque([src])
-    adj = g.adjacency
-    while q:
-        u = q.popleft()
-        du = dist[u] + 1
-        if du > radius:
-            break
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = du
-                q.append(w)
-    return dist
-
-
 def greedy_burn(g: Graph) -> BurningSchedule:
     """Farthest-first heuristic burn; returns a complete valid schedule.
 
@@ -212,7 +193,7 @@ def greedy_burn(g: Graph) -> BurningSchedule:
     """
     comps = connected_components(g)
     comps.sort(key=lambda c: (-len(c), c[0]))
-    first = _component_center(g, comps[0])
+    first = radical_center(g, comps[0])
     sources = [first]
     burnt: set[int] = set()
     frontier = []
@@ -237,18 +218,6 @@ def greedy_burn(g: Graph) -> BurningSchedule:
             if d > far:
                 far, pick = d, v
         sources.append(pick)
-
-
-def _component_center(g: Graph, comp: list[int]) -> int:
-    """Minimum-eccentricity vertex of one component, smallest id on ties."""
-    members = set(comp)
-    best_v, best_ecc = comp[0], None
-    for v in comp:
-        dist = bfs_distances(g, (v,))
-        ecc = max(dist[u] for u in members)
-        if best_ecc is None or ecc < best_ecc:
-            best_v, best_ecc = v, ecc
-    return best_v
 
 
 def assert_agreement(

@@ -16,7 +16,10 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable
 
 from .burning import (
     greedy_burn,
@@ -96,30 +99,49 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _triples_text(partition) -> str:
+    return "; ".join(" ".join(str(a) for a in t) for t in partition.triples)
 
 
 # --- gen ------------------------------------------------------------------
 
 
+def _gen_forest(args: argparse.Namespace):
+    lengths = list(args.lengths or ())
+    if args.random:
+        rng = random.Random(args.seed)
+        lengths.extend(
+            rng.randint(1, args.max_len) for _ in range(args.random)
+        )
+    return build_path_forest(lengths)
+
+
+def _gen_pg(args: argparse.Namespace):
+    perm = read_permutation(_read(args.perm))
+    return build_permutation_graph(len(perm), perm)
+
+
+def _gen_ig(args: argparse.Namespace):
+    return build_interval_graph(read_intervals(_read(args.intervals)))
+
+
+_FAMILIES = {
+    "path": lambda args: build_path(args.n),
+    "grid": lambda args: build_grid(args.rows, args.cols),
+    "forest": _gen_forest,
+    "pg": _gen_pg,
+    "ig": _gen_ig,
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "path":
-        g = build_path(args.n)
-    elif args.family == "grid":
-        g = build_grid(args.rows, args.cols)
-    elif args.family == "forest":
-        lengths = list(args.lengths or ())
-        if args.random:
-            rng = random.Random(args.seed)
-            lengths.extend(
-                rng.randint(1, args.max_len) for _ in range(args.random)
-            )
-        g = build_path_forest(lengths)
-    elif args.family == "pg":
-        perm = read_permutation(_read(args.perm))
-        g = build_permutation_graph(len(perm), perm)
-    else:
-        g = build_interval_graph(read_intervals(_read(args.intervals)))
+    g = _FAMILIES[args.family](args)
     _write(args.out, write_graph(g))
     print(f"wrote graph with {g.n} vertices and {g.m} edges to {args.out}")
     return OK
@@ -195,21 +217,20 @@ def _grid_report_for(side: int):
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     if args.sweep:
+        if args.jobs is not None and args.jobs < 1:
+            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_grid_report_for, args.sweep))
         for report in reports:
             payload = _grid_payload(report)
             del payload["schedule"]
-            if args.report == "json":
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                print(
-                    f"{report.grid.rows}x{report.grid.cols}: "
-                    f"rounds={report.rounds_used} "
-                    f"lower={report.lower_bound} "
-                    f"upper={report.upper_bound} "
-                    f"ratio={report.ratio:.4f}"
-                )
+            _emit(args, payload, [
+                f"{report.grid.rows}x{report.grid.cols}: "
+                f"rounds={report.rounds_used} "
+                f"lower={report.lower_bound} "
+                f"upper={report.upper_bound} "
+                f"ratio={report.ratio:.4f}"
+            ])
         return OK
     if args.rows is None or args.cols is None:
         raise InputError("grid needs --rows and --cols (or --sweep)")
@@ -241,32 +262,81 @@ def _cmd_3part(args: argparse.Namespace) -> int:
         "solvable": True,
         "triples": [list(t) for t in partition.triples],
     }
-    _emit(args, payload, [
-        "triples = " + "; ".join(
-            " ".join(str(a) for a in t) for t in partition.triples
-        ),
-    ])
+    _emit(args, payload, ["triples = " + _triples_text(partition)])
     return OK
 
 
-def _cmd_reduce_ig(args: argparse.Namespace) -> int:
+@dataclass(frozen=True)
+class _Gadget:
+    """What the reduce-*, extract-* and demo commands need of a gadget."""
+
+    noun: str
+    construct: Callable[[Any], Any]
+    forward: Callable[[Any, Any], Any]
+    reverse: Callable[[Any, Any], Any]
+    emits: tuple[tuple[str, Callable[[Any], str]], ...]  # --emit-NAME
+    extra: Callable[[Any], dict[str, int]]  # summary after "vertices"
+    describe: Callable[[Any], str]  # the demo's gadget line
+
+
+def _gadget_table() -> dict[str, _Gadget]:
+    """The two gadget families, keyed by subcommand suffix.
+
+    Built per call rather than once at import, so that every entry is
+    the function this module binds at that moment (instrumentation may
+    patch those bindings).
+    """
+    return {
+        "ig": _Gadget(
+            noun="interval",
+            construct=construct_ig,
+            forward=partition_to_schedule,
+            reverse=schedule_to_partition,
+            emits=(
+                ("graph", lambda art: write_graph(art.graph)),
+                ("intervals", lambda art: write_intervals(art.representation)),
+            ),
+            extra=lambda art: {},
+            describe=lambda art: (
+                f"interval gadget: {art.graph.n} vertices, spine "
+                f"{art.spine_len}, decides at {art.target_rounds} rounds"
+            ),
+        ),
+        "pg": _Gadget(
+            noun="permutation",
+            construct=construct_px,
+            forward=partition_to_schedule_pg,
+            reverse=schedule_to_partition_pg,
+            emits=(
+                ("graph", lambda art: write_graph(art.graph)),
+                ("perm", lambda art: write_permutation(art.permutation)),
+            ),
+            extra=lambda art: {"components": len(art.segments)},
+            describe=lambda art: (
+                f"path forest gadget: {art.graph.n} vertices, component "
+                "orders " + " ".join(str(seg.size) for seg in art.segments)
+            ),
+        ),
+    }
+
+
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    gadget = args.gadget
     inst = read_instance(_read(args.infile))
-    art = construct_ig(inst)
-    if args.emit_graph:
-        _write(args.emit_graph, write_graph(art.graph))
-    if args.emit_intervals:
-        _write(args.emit_intervals, write_intervals(art.representation))
-    lines = [
-        f"m = {art.derived.m}",
-        f"vertices = {art.graph.n}",
-        f"target rounds = {art.target_rounds}",
-    ]
-    payload = {
+    art = gadget.construct(inst)
+    for name, writer in gadget.emits:
+        path = getattr(args, f"emit_{name}")
+        if path:
+            _write(path, writer(art))
+    summary = {
         "m": art.derived.m,
         "vertices": art.graph.n,
+        **gadget.extra(art),
         "target_rounds": art.target_rounds,
-        "witness": None,
     }
+    lines = [f"{key.replace('_', ' ')} = {value}"
+             for key, value in summary.items()]
+    payload = {**summary, "witness": None}
     if args.witness:
         partition = solve_3partition(inst, node_budget=_budget(args))
         if partition is None:
@@ -274,7 +344,7 @@ def _cmd_reduce_ig(args: argparse.Namespace) -> int:
             print("instance has no solution, no witness written",
                   file=sys.stderr)
             return FAILED
-        sched = partition_to_schedule(art, partition)
+        sched = gadget.forward(art, partition)
         _write(args.witness, write_schedule(sched))
         payload["witness"] = list(sched)
         lines.append(f"witness of {len(sched)} rounds written to "
@@ -283,123 +353,49 @@ def _cmd_reduce_ig(args: argparse.Namespace) -> int:
     return OK
 
 
-def _cmd_extract_ig(args: argparse.Namespace) -> int:
+def _cmd_extract(args: argparse.Namespace) -> int:
+    gadget = args.gadget
     inst = read_instance(_read(args.artifact))
-    art = construct_ig(inst)
+    art = gadget.construct(inst)
     sched = read_schedule(_read(args.schedule))
-    partition = schedule_to_partition(art, sched)
+    partition = gadget.reverse(art, sched)
     assert verify_partition(inst, partition)
     payload = {"triples": [list(t) for t in partition.triples]}
-    _emit(args, payload, [
-        "triples = " + "; ".join(
-            " ".join(str(a) for a in t) for t in partition.triples
-        ),
-    ])
-    return OK
-
-
-def _cmd_reduce_pg(args: argparse.Namespace) -> int:
-    inst = read_instance(_read(args.infile))
-    art = construct_px(inst)
-    if args.emit_graph:
-        _write(args.emit_graph, write_graph(art.graph))
-    if args.emit_perm:
-        _write(args.emit_perm, write_permutation(art.permutation))
-    lines = [
-        f"m = {art.derived.m}",
-        f"vertices = {art.graph.n}",
-        f"components = {len(art.segments)}",
-        f"target rounds = {art.target_rounds}",
-    ]
-    payload = {
-        "m": art.derived.m,
-        "vertices": art.graph.n,
-        "components": len(art.segments),
-        "target_rounds": art.target_rounds,
-        "witness": None,
-    }
-    if args.witness:
-        partition = solve_3partition(inst, node_budget=_budget(args))
-        if partition is None:
-            _emit(args, payload, lines)
-            print("instance has no solution, no witness written",
-                  file=sys.stderr)
-            return FAILED
-        sched = partition_to_schedule_pg(art, partition)
-        _write(args.witness, write_schedule(sched))
-        payload["witness"] = list(sched)
-        lines.append(f"witness of {len(sched)} rounds written to "
-                     f"{args.witness}")
-    _emit(args, payload, lines)
-    return OK
-
-
-def _cmd_extract_pg(args: argparse.Namespace) -> int:
-    inst = read_instance(_read(args.artifact))
-    art = construct_px(inst)
-    sched = read_schedule(_read(args.schedule))
-    partition = schedule_to_partition_pg(art, sched)
-    assert verify_partition(inst, partition)
-    payload = {"triples": [list(t) for t in partition.triples]}
-    _emit(args, payload, [
-        "triples = " + "; ".join(
-            " ".join(str(a) for a in t) for t in partition.triples
-        ),
-    ])
+    _emit(args, payload, ["triples = " + _triples_text(partition)])
     return OK
 
 
 # --- demos ------------------------------------------------------------------
 
 
-def _demo_interval() -> int:
+def _demo(kind: str, *, show_solution: bool, cross_check: bool) -> int:
+    gadget = _gadget_table()[kind]
     inst = read_instance(" ".join(str(a) for a in WORKED_EXAMPLE))
     print("instance:", " ".join(str(a) for a in inst.elements))
     partition = solve_3partition(inst)
     assert partition is not None
-    print("solution:", "; ".join(
-        " ".join(str(a) for a in t) for t in partition.triples
-    ))
-    art = construct_ig(inst)
-    print(f"interval gadget: {art.graph.n} vertices, "
-          f"spine {art.spine_len}, decides at {art.target_rounds} rounds")
-    sched = partition_to_schedule(art, partition)
+    if show_solution:
+        print("solution:", _triples_text(partition))
+    art = gadget.construct(inst)
+    print(gadget.describe(art))
+    sched = gadget.forward(art, partition)
     outcome = simulate(art.graph, sched)
     assert outcome.complete and outcome.rounds_used == art.target_rounds
     print(f"schedule burns everything in {outcome.rounds_used} rounds")
-    back = schedule_to_partition(art, sched)
+    if cross_check:
+        result = exact_burning_number(art.graph)
+        assert result.k == art.target_rounds
+        print(f"exact search agrees: burning number = {result.k}")
+    back = gadget.reverse(art, sched)
     assert verify_partition(inst, back)
-    print("extracted partition matches:", "; ".join(
-        " ".join(str(a) for a in t) for t in back.triples
-    ))
+    print("extracted partition matches:", _triples_text(back))
     return OK
 
 
-def _demo_permutation() -> int:
-    inst = read_instance(" ".join(str(a) for a in WORKED_EXAMPLE))
-    print("instance:", " ".join(str(a) for a in inst.elements))
-    partition = solve_3partition(inst)
-    assert partition is not None
-    art = construct_px(inst)
-    orders = " ".join(str(seg.size) for seg in art.segments)
-    print(f"path forest gadget: {art.graph.n} vertices, "
-          f"component orders {orders}")
-    sched = partition_to_schedule_pg(art, partition)
-    outcome = simulate(art.graph, sched)
-    assert outcome.complete and outcome.rounds_used == art.target_rounds
-    print(f"schedule burns everything in {outcome.rounds_used} rounds")
-    result = exact_burning_number(art.graph)
-    assert result.k == art.target_rounds
-    print(f"exact search agrees: burning number = {result.k}")
-    back = schedule_to_partition_pg(art, sched)
-    assert verify_partition(inst, back)
-    print("extracted partition matches:", "; ".join(
-        " ".join(str(a) for a in t) for t in back.triples
-    ))
-    return OK
-
-
-_DEMOS = {"s5.2": _demo_interval, "s6.3": _demo_permutation}
+_DEMOS = {
+    "s5.2": partial(_demo, "ig", show_solution=True, cross_check=False),
+    "s6.3": partial(_demo, "pg", show_solution=False, cross_check=True),
+}
 
 
 # --- parser -----------------------------------------------------------------
@@ -419,22 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write a graph file")
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    g_path = gen_sub.add_parser("path")
-    g_path.add_argument("--n", type=int, required=True)
-    g_grid = gen_sub.add_parser("grid")
-    g_grid.add_argument("--rows", type=int, required=True)
-    g_grid.add_argument("--cols", type=int, required=True)
-    g_forest = gen_sub.add_parser("forest")
-    g_forest.add_argument("--lengths", type=int, nargs="*")
-    g_forest.add_argument("--random", type=int, default=0,
-                          help="append this many random lengths")
-    g_forest.add_argument("--seed", type=int, default=0)
-    g_forest.add_argument("--max-len", type=int, default=12)
-    g_pg = gen_sub.add_parser("pg")
-    g_pg.add_argument("--perm", required=True)
-    g_ig = gen_sub.add_parser("ig")
-    g_ig.add_argument("--intervals", required=True)
-    for p in (g_path, g_grid, g_forest, g_pg, g_ig):
+    family = {name: gen_sub.add_parser(name) for name in _FAMILIES}
+    family["path"].add_argument("--n", type=int, required=True)
+    family["grid"].add_argument("--rows", type=int, required=True)
+    family["grid"].add_argument("--cols", type=int, required=True)
+    family["forest"].add_argument("--lengths", type=int, nargs="*")
+    family["forest"].add_argument("--random", type=int, default=0,
+                                  help="append this many random lengths")
+    family["forest"].add_argument("--seed", type=int, default=0)
+    family["forest"].add_argument("--max-len", type=int, default=12)
+    family["pg"].add_argument("--perm", required=True)
+    family["ig"].add_argument("--intervals", required=True)
+    for p in family.values():
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_gen)
 
@@ -468,37 +460,27 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--budget", type=int)
     part.set_defaults(func=_cmd_3part)
 
-    rig = sub.add_parser("reduce-ig", help="instance to interval gadget")
-    rig.add_argument("--in", dest="infile", required=True)
-    rig.add_argument("--emit-graph")
-    rig.add_argument("--emit-intervals")
-    rig.add_argument("--witness")
-    rig.add_argument("--budget", type=int)
-    rig.set_defaults(func=_cmd_reduce_ig)
+    reporting = [verify, greedy, exact, grid, part]
+    for kind, gadget in _gadget_table().items():
+        red = sub.add_parser(f"reduce-{kind}",
+                             help=f"instance to {gadget.noun} gadget")
+        red.add_argument("--in", dest="infile", required=True)
+        for name, _ in gadget.emits:
+            red.add_argument(f"--emit-{name}")
+        red.add_argument("--witness")
+        red.add_argument("--budget", type=int)
+        red.set_defaults(func=_cmd_reduce, gadget=gadget)
+        ext = sub.add_parser(
+            f"extract-{kind}",
+            help=f"schedule on the {gadget.noun} gadget to triples",
+        )
+        ext.add_argument("--artifact", required=True,
+                         help="instance file the gadget was built from")
+        ext.add_argument("--schedule", required=True)
+        ext.set_defaults(func=_cmd_extract, gadget=gadget)
+        reporting += [red, ext]
 
-    xig = sub.add_parser("extract-ig",
-                         help="schedule on the interval gadget to triples")
-    xig.add_argument("--artifact", required=True,
-                     help="instance file the gadget was built from")
-    xig.add_argument("--schedule", required=True)
-    xig.set_defaults(func=_cmd_extract_ig)
-
-    rpg = sub.add_parser("reduce-pg", help="instance to permutation gadget")
-    rpg.add_argument("--in", dest="infile", required=True)
-    rpg.add_argument("--emit-graph")
-    rpg.add_argument("--emit-perm")
-    rpg.add_argument("--witness")
-    rpg.add_argument("--budget", type=int)
-    rpg.set_defaults(func=_cmd_reduce_pg)
-
-    xpg = sub.add_parser("extract-pg",
-                         help="schedule on the permutation gadget to triples")
-    xpg.add_argument("--artifact", required=True,
-                     help="instance file the gadget was built from")
-    xpg.add_argument("--schedule", required=True)
-    xpg.set_defaults(func=_cmd_extract_pg)
-
-    for p in (verify, greedy, exact, grid, part, rig, xig, rpg, xpg):
+    for p in reporting:
         p.add_argument("--report", choices=("text", "json"), default="text")
     return parser
 

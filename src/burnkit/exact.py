@@ -123,10 +123,6 @@ class _Profile:
                     ball_sizes[r] = total
         self.maxball = ball_sizes
 
-    def ball_mask(self, v: int, radius: int) -> int:
-        vmasks = self.masks[v]
-        return vmasks[radius] if radius < len(vmasks) else vmasks[-1]
-
     def maxball_at(self, radius: int) -> int:
         if radius < len(self.maxball):
             return self.maxball[radius]

@@ -69,12 +69,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        a, b = self._adj[u], self._adj[v]
-        if len(b) < len(a):
-            a, v = b, u
-        return v in a
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -85,29 +79,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class PathDecoration:
-    """An ordered vertex list realizing a simple path in some host graph."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def check_in(self, g: Graph) -> None:
-        vs = self.vertices
-        if not vs:
-            raise GraphError("empty path")
-        if len(set(vs)) != len(vs):
-            raise GraphError("path repeats a vertex")
-        for v in vs:
-            if not 0 <= v < g.n:
-                raise GraphError(f"path vertex {v} outside host graph")
-        for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
-                raise GraphError(f"path step {a}-{b} is not an edge")
 
 
 @dataclass(frozen=True)
@@ -243,22 +214,20 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int]:
     return dist
 
 
-def ball(g: Graph, around: Iterable[int], radius: int) -> VertexSet:
-    """All vertices within the given hop distance of the seed set."""
+def ball_distances(
+    g: Graph, around: Iterable[int], radius: int
+) -> dict[int, int]:
+    """Hop distance from the seed set for every vertex within radius."""
     if radius < 0:
         raise GraphError(f"radius must be >= 0, got {radius}")
-    seeds = list(around)
-    if not seeds:
-        raise GraphError("ball needs a nonempty seed set")
-    dist = [UNREACHED] * g.n
-    q: deque[int] = deque()
-    for s in seeds:
+    dist: dict[int, int] = {}
+    for s in around:
         if not 0 <= s < g.n:
             raise GraphError(f"seed {s} out of range for n={g.n}")
-        if dist[s] == UNREACHED:
-            dist[s] = 0
-            q.append(s)
-    out = set(q)
+        dist[s] = 0
+    if not dist:
+        raise GraphError("ball needs a nonempty seed set")
+    q: deque[int] = deque(dist)
     adj = g.adjacency
     while q:
         u = q.popleft()
@@ -266,11 +235,15 @@ def ball(g: Graph, around: Iterable[int], radius: int) -> VertexSet:
         if du > radius:
             break
         for w in adj[u]:
-            if dist[w] == UNREACHED:
+            if w not in dist:
                 dist[w] = du
-                out.add(w)
                 q.append(w)
-    return frozenset(out)
+    return dist
+
+
+def ball(g: Graph, around: Iterable[int], radius: int) -> VertexSet:
+    """All vertices within the given hop distance of the seed set."""
+    return frozenset(ball_distances(g, around, radius))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -298,59 +271,24 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def radical_center(g: Graph) -> int:
-    """Vertex of minimum eccentricity; smallest id wins ties."""
-    if not is_connected(g):
-        raise GraphError("radical center needs a connected graph")
-    best_v = 0
+def radical_center(g: Graph, component: Sequence[int] | None = None) -> int:
+    """Vertex of minimum eccentricity; smallest id wins ties.
+
+    With a component (its ids ascending), the search stays inside it;
+    without one, the graph must be connected.
+    """
+    if component is None:
+        if not is_connected(g):
+            raise GraphError("radical center needs a connected graph")
+        component = range(g.n)
+    best_v = component[0]
     best_ecc = None
-    for v in range(g.n):
+    for v in component:
+        # BFS leaves other components UNREACHED (-1), below any distance
         ecc = max(bfs_distances(g, (v,)))
         if best_ecc is None or ecc < best_ecc:
             best_v, best_ecc = v, ecc
     return best_v
-
-
-def longest_shortest_path(g: Graph) -> PathDecoration:
-    """A shortest path realizing the diameter.
-
-    Deterministic choice: the endpoint with the smallest id among all
-    diametral pairs starts the path, and among shortest paths from it the
-    lexicographically smallest vertex list is returned.
-    """
-    if not is_connected(g):
-        raise GraphError("diametral path needs a connected graph")
-    diam = 0
-    start = 0
-    for v in range(g.n):
-        ecc = max(bfs_distances(g, (v,)))
-        if ecc > diam:
-            diam, start = ecc, v
-    # smallest endpoint id over all diametral pairs
-    for v in range(start):
-        if max(bfs_distances(g, (v,))) == diam:
-            start = v
-            break
-    du = bfs_distances(g, (start,))
-    # mark vertices that extend to a full-depth shortest path
-    layers: list[list[int]] = [[] for _ in range(diam + 1)]
-    for v in range(g.n):
-        if 0 <= du[v] <= diam:
-            layers[du[v]].append(v)
-    good = [False] * g.n
-    for v in layers[diam]:
-        good[v] = True
-    for depth in range(diam - 1, -1, -1):
-        for v in layers[depth]:
-            good[v] = any(du[w] == depth + 1 and good[w] for w in g.adjacency[v])
-    path = [start]
-    while du[path[-1]] < diam:
-        here = path[-1]
-        nxt = min(
-            w for w in g.adjacency[here] if du[w] == du[here] + 1 and good[w]
-        )
-        path.append(nxt)
-    return PathDecoration(tuple(path))
 
 
 # --- text formats -------------------------------------------------------

@@ -17,90 +17,38 @@ Both directions of that equivalence are executable here:
 partition_to_schedule turns a solution into an optimal schedule, and
 schedule_to_partition turns any optimal schedule back into a solution,
 refusing with NotOptimalShapedError when the schedule's clusters do not
-respect the segment structure.
+respect the segment structure.  The segment model and both mappings are
+shared with the permutation gadget in gadget.py.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .burning import BurningSchedule, simulate, verify_schedule
-from .errors import (
-    ExtractionError,
-    InstanceError,
-    NotOptimalShapedError,
-    ScheduleError,
+from .burning import BurningSchedule
+from .gadget import (
+    DerivedSets,
+    GadgetArtifact,
+    Segment,
+    derive_sets,
+    place_clusters,
+    read_off_partition,
 )
 from .graph import Graph, IntervalRepresentation, build_interval_graph
-from .partition import (
-    Partition3,
-    ThreePartitionInstance,
-    validate_instance,
-    verify_partition,
-)
+from .partition import Partition3, ThreePartitionInstance
 
 
 @dataclass(frozen=True)
-class DerivedSets:
-    """Shifted instance and padding shared by both gadget families.
+class IntervalArtifact(GadgetArtifact):
+    """The built gadget plus everything needed to map solutions back.
 
-    Doubling each element a to 2a - 1 makes every element odd while
-    keeping triple sums aligned on the shifted target 2B - 3, and the
-    fillers are the leftover odd sizes below 2m so that shifted plus
-    fillers is exactly {1, 3, ..., 2m - 1}, which sums to m * m.
+    Spine vertex ids are spine positions, so each segment's vertices
+    are a consecutive id range; leaf ids follow the spine.
     """
 
-    instance: ThreePartitionInstance
-    m: int
-    n: int
-    shifted: tuple[int, ...]
-    shifted_target: int
-    fillers: tuple[int, ...]
-
-
-def derive_sets(instance: ThreePartitionInstance) -> DerivedSets:
-    validate_instance(instance)
-    m = max(instance.elements)
-    shifted = tuple(sorted(2 * a - 1 for a in instance.elements))
-    used = set(shifted)
-    fillers = tuple(s for s in range(2 * m - 1, 0, -2) if s not in used)
-    assert sum(shifted) + sum(fillers) == m * m
-    return DerivedSets(
-        instance=instance,
-        m=m,
-        n=instance.n,
-        shifted=shifted,
-        shifted_target=2 * instance.target - 3,
-        fillers=fillers,
-    )
-
-
-@dataclass(frozen=True)
-class SpineSegment:
-    """One stretch of the gadget's spine path."""
-
-    kind: str  # "block", "comb", or "filler"
-    index: int  # 1-based within its kind
-    start: int  # spine position of the first vertex
-    size: int
-
-    @property
-    def end(self) -> int:
-        return self.start + self.size - 1
-
-
-@dataclass(frozen=True)
-class IntervalArtifact:
-    """The built gadget plus everything needed to map solutions back."""
-
-    derived: DerivedSets
-    segments: tuple[SpineSegment, ...]
     spine_len: int
     leaf_hosts: tuple[int, ...]
-    graph: Graph
     representation: IntervalRepresentation
 
     @property
@@ -108,38 +56,28 @@ class IntervalArtifact:
         """Schedule length that decides the instance: 2m + 1."""
         return 2 * self.derived.m + 1
 
-    def host_of(self, leaf: int) -> int:
-        return self.leaf_hosts[leaf - self.spine_len]
-
-    def segment_at(self, pos: int) -> SpineSegment:
-        starts = [seg.start for seg in self.segments]
-        return self.segments[bisect_right(starts, pos) - 1]
+    def leaf_folds(self) -> Iterable[tuple[int, int]]:
+        return enumerate(self.leaf_hosts, start=self.spine_len)
 
 
-def _segment_layout(d: DerivedSets) -> tuple[SpineSegment, ...]:
+def _segment_layout(d: DerivedSets) -> tuple[Segment, ...]:
     """Blocks and fillers interleaved with combs, then the comb tail.
 
     Comb j has size 4m + 3 - 2j, so sizes march down from 4m + 1 to
     2m + 1; every block and filler gets a comb to its right, and the
     combs left over close out the spine.
     """
-    m, n, k = d.m, d.n, len(d.fillers)
-    combs = iter(range(1, m + 2))
-    plan: list[tuple[str, int, int]] = []
-    for i in range(1, n + 1):
-        plan.append(("block", i, d.shifted_target))
-        j = next(combs)
-        plan.append(("comb", j, 4 * m + 3 - 2 * j))
-    for i in range(1, k + 1):
-        plan.append(("filler", i, d.fillers[i - 1]))
-        j = next(combs)
-        plan.append(("comb", j, 4 * m + 3 - 2 * j))
-    for j in combs:
-        plan.append(("comb", j, 4 * m + 3 - 2 * j))
-    segments: list[SpineSegment] = []
+    m = d.m
+    heads = [("block", i, d.shifted_target) for i in range(1, d.n + 1)]
+    heads += [("filler", i, f) for i, f in enumerate(d.fillers, start=1)]
+    combs = [("comb", j, 4 * m + 3 - 2 * j) for j in range(1, m + 2)]
+    plan = [seg for pair in zip(heads, combs) for seg in pair]
+    plan += combs[len(heads):]
+    segments: list[Segment] = []
     start = 0
     for kind, index, size in plan:
-        segments.append(SpineSegment(kind, index, start, size))
+        vertices = tuple(range(start, start + size))
+        segments.append(Segment(kind, index, vertices))
         start += size
     assert start == (2 * m + 1) ** 2
     return tuple(segments)
@@ -158,7 +96,7 @@ def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
         h
         for seg in segments
         if seg.kind == "comb"
-        for h in range(seg.start + 1, seg.end)
+        for h in seg.vertices[1:-1]
     )
     intervals = [(20 * p, 20 * p + 30) for p in range(spine_len)]
     intervals.extend((20 * h + 12, 20 * h + 18) for h in leaf_hosts)
@@ -175,9 +113,9 @@ def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
     return IntervalArtifact(
         derived=derived,
         segments=segments,
+        graph=graph,
         spine_len=spine_len,
         leaf_hosts=leaf_hosts,
-        graph=graph,
         representation=rep,
     )
 
@@ -188,37 +126,9 @@ def partition_to_schedule(
     """Turn a solution into a complete schedule of exactly 2m + 1 rounds.
 
     Each comb and filler becomes one cluster centered on its segment;
-    triple i tiles block i left to right in ascending order.  A cluster
-    of size s spreads for (s - 1) / 2 rounds, which fixes its round, and
-    all 2m + 1 sizes are distinct, so the rounds are a permutation.
+    triple i tiles block i left to right in ascending order.
     """
-    derived = artifact.derived
-    if not verify_partition(derived.instance, partition):
-        raise InstanceError("partition does not solve the gadget's instance")
-    k = artifact.target_rounds
-    placed: list[tuple[int, int]] = []  # (round, center)
-
-    def place(start: int, size: int) -> None:
-        placed.append((k - (size - 1) // 2, start + (size - 1) // 2))
-
-    triples = iter(partition.triples)
-    for seg in artifact.segments:
-        if seg.kind == "block":
-            pos = seg.start
-            for a in next(triples):
-                size = 2 * a - 1
-                place(pos, size)
-                pos += size
-            assert pos == seg.end + 1
-        else:
-            place(seg.start, seg.size)
-
-    placed.sort()
-    assert [t for t, _ in placed] == list(range(1, k + 1))
-    schedule = BurningSchedule.of(center for _, center in placed)
-    outcome = simulate(artifact.graph, schedule)
-    assert outcome.complete and outcome.rounds_used == k
-    return schedule
+    return place_clusters(artifact, partition)
 
 
 def schedule_to_partition(
@@ -227,124 +137,8 @@ def schedule_to_partition(
     """Recover a solution from any complete (2m + 1)-round schedule.
 
     Leaf sources still spreading are folded onto their hosts (the host's
-    ball contains the leaf's), after which every cluster must lie inside
-    one segment and the clusters inside each segment must tile it
-    exactly; anything else raises NotOptimalShapedError.  Tiling forces
-    each comb to be a single cluster, so blocks and fillers share the
-    sizes 1, 3, ..., 2m - 1.  A filler may still be tiled by several
-    small clusters while some block holds the cluster of the filler's
-    own size; swapping those size multisets block by block (largest
-    filler first) normalizes every filler to its own size without
-    touching block sums, and each block then reads off one triple.
+    ball contains the leaf's); a leaf source in the last round is
+    refused.  The clusters must then tile every segment exactly, each
+    comb as a single cluster, and each block reads off one triple.
     """
-    sched = BurningSchedule.of(schedule)
-    k = artifact.target_rounds
-    if len(sched) != k:
-        raise ExtractionError(
-            f"schedule has {len(sched)} rounds, the gadget decides at {k}"
-        )
-    try:
-        complete = verify_schedule(artifact.graph, sched)
-    except ScheduleError as exc:
-        raise ExtractionError(f"schedule rejected: {exc}") from exc
-    if not complete:
-        raise ExtractionError("schedule does not burn the whole gadget")
-
-    spans_by_segment: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    starts = [seg.start for seg in artifact.segments]
-    for t, src in enumerate(sched, start=1):
-        radius = k - t
-        pos = src
-        if pos >= artifact.spine_len:
-            if radius == 0:
-                raise NotOptimalShapedError("final source sits on a leaf")
-            pos = artifact.host_of(pos)
-        si = bisect_right(starts, pos) - 1
-        seg = artifact.segments[si]
-        lo, hi = pos - radius, pos + radius
-        if lo < seg.start or hi > seg.end:
-            raise NotOptimalShapedError(
-                f"round-{t} cluster [{lo}, {hi}] spills out of the "
-                f"{seg.kind} at positions [{seg.start}, {seg.end}]"
-            )
-        spans_by_segment[si].append((lo, hi))
-
-    sizes_by_segment: dict[int, list[int]] = {}
-    for si, seg in enumerate(artifact.segments):
-        spans = sorted(spans_by_segment.get(si, ()))
-        cursor = seg.start
-        for lo, hi in spans:
-            if lo != cursor:
-                raise NotOptimalShapedError(
-                    f"{seg.kind} at [{seg.start}, {seg.end}] is not tiled "
-                    f"exactly (gap or overlap at position {min(lo, cursor)})"
-                )
-            cursor = hi + 1
-        if cursor != seg.end + 1:
-            raise NotOptimalShapedError(
-                f"{seg.kind} at [{seg.start}, {seg.end}] is not tiled "
-                f"exactly (uncovered tail from position {cursor})"
-            )
-        if seg.kind == "comb" and len(spans) != 1:
-            # unreachable given completeness: a boundary inside a comb
-            # would strand that host's leaf
-            raise NotOptimalShapedError(
-                f"comb at [{seg.start}, {seg.end}] split into "
-                f"{len(spans)} clusters"
-            )
-        sizes_by_segment[si] = [hi - lo + 1 for lo, hi in spans]
-
-    block_ids = [
-        si for si, seg in enumerate(artifact.segments) if seg.kind == "block"
-    ]
-    fillers_desc = sorted(
-        ((si, seg.size) for si, seg in enumerate(artifact.segments)
-         if seg.kind == "filler"),
-        key=lambda pair: -pair[1],
-    )
-    partition = settle_block_triples(
-        sizes_by_segment, block_ids, fillers_desc
-    )
-    assert verify_partition(artifact.derived.instance, partition)
-    return partition
-
-
-def settle_block_triples(
-    sizes_by_bin: dict[int, list[int]],
-    block_ids: Sequence[int],
-    fillers_desc: Sequence[tuple[int, int]],
-) -> Partition3:
-    """Normalize fillers to their own size and read off the triples.
-
-    sizes_by_bin maps each segment to the sizes of the clusters that
-    tile it; fillers_desc pairs each filler with its expected size, in
-    decreasing order.  A filler tiled by smaller clusters trades its
-    whole multiset for the cluster of its own size, which at that point
-    can only sit in a block (larger fillers are already settled, and a
-    cluster never fits in a smaller segment); the trade keeps block
-    sums intact.  Each block then holds an odd number of distinct odd
-    sizes, at least three since no single element reaches the block
-    sum, and odd counts of at least 3 over all blocks averaging 3 each
-    force exactly three, one solution triple.
-    """
-    for si, want in fillers_desc:
-        have = sizes_by_bin[si]
-        if have == [want]:
-            continue
-        for bi in block_ids:
-            if want in sizes_by_bin[bi]:
-                sizes_by_bin[bi].remove(want)
-                sizes_by_bin[bi].extend(have)
-                sizes_by_bin[si] = [want]
-                break
-        else:
-            raise AssertionError(
-                f"size-{want} cluster missing from every block"
-            )
-
-    triples = []
-    for bi in block_ids:
-        sizes = sorted(sizes_by_bin[bi])
-        assert len(sizes) == 3, "parity and the block sum force three"
-        triples.append(tuple((s + 1) // 2 for s in sizes))
-    return Partition3.of(triples)
+    return read_off_partition(artifact, schedule)

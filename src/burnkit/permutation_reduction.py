@@ -16,30 +16,26 @@ solution triple.
 partition_to_schedule_pg and schedule_to_partition_pg make both
 directions of that equivalence executable, the latter refusing with
 NotOptimalShapedError when a schedule's clusters do not respect the
-component structure.
+component structure.  The segment model and both mappings are shared
+with the interval gadget in gadget.py.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .burning import BurningSchedule, simulate, verify_schedule
-from .errors import (
-    ExtractionError,
-    GraphError,
-    InstanceError,
-    NotOptimalShapedError,
-    ScheduleError,
+from .burning import BurningSchedule
+from .errors import GraphError, InstanceError
+from .gadget import (
+    GadgetArtifact,
+    Segment,
+    derive_sets,
+    place_clusters,
+    read_off_partition,
 )
 from .graph import Graph, build_permutation_graph, connected_components
-from .interval_reduction import (
-    DerivedSets,
-    derive_sets,
-    settle_block_triples,
-)
-from .partition import Partition3, ThreePartitionInstance, verify_partition
+from .partition import Partition3, ThreePartitionInstance
 
 
 @dataclass(frozen=True)
@@ -55,27 +51,19 @@ class ValueSegment:
 
 
 @dataclass(frozen=True)
-class PermutationArtifact:
+class PermutationArtifact(GadgetArtifact):
     """P(X) gadget: permutation, induced path forest, component map.
 
     The first derived.n segments are the blocks of order 2B - 3, the
-    rest are the fillers in decreasing size order.  paths[j] lists the
-    vertices of segment j in path order, the coordinate system used
-    when clusters are checked against the component structure.
+    rest are the fillers in decreasing size order; each segment lists
+    its component's vertices in path order.
     """
 
-    derived: DerivedSets
     permutation: tuple[int, ...]
-    segments: tuple[ValueSegment, ...]
-    graph: Graph
-    paths: tuple[tuple[int, ...], ...]
 
     @property
     def target_rounds(self) -> int:
         return self.derived.m
-
-    def segment_kind(self, index: int) -> str:
-        return "block" if index < self.derived.n else "filler"
 
 
 def _induced_segment_graph(seq: Sequence[int], first: int) -> Graph:
@@ -155,29 +143,21 @@ def forest_permutation(
 
 def _component_paths(
     g: Graph, segments: Sequence[ValueSegment]
-) -> tuple[tuple[int, ...], ...]:
-    components = {min(comp): sorted(comp) for comp in connected_components(g)}
+) -> list[tuple[int, ...]]:
+    """Each segment's vertices in path order, end to end."""
+    components = connected_components(g)
+    assert components == [
+        list(range(seg.first - 1, seg.last)) for seg in segments
+    ], "segments do not form one component each"
     paths: list[tuple[int, ...]] = []
-    for seg in segments:
-        lo = seg.first - 1
-        comp = components.get(lo)
-        assert comp == list(range(lo, lo + seg.size)), (
-            "segment does not form its own component"
-        )
-        if seg.size == 1:
-            paths.append((lo,))
-            continue
-        ends = [v for v in comp if g.degree(v) == 1]
-        assert len(ends) == 2, "component is not a simple path"
-        prev, cur = -1, min(ends)
-        walk = [cur]
-        for _ in range(seg.size - 1):
-            nxt = [w for w in g.neighbors(cur) if w != prev]
-            assert len(nxt) == 1
-            prev, cur = cur, nxt[0]
-            walk.append(cur)
+    for comp in components:
+        walk = [min(v for v in comp if g.degree(v) <= 1)]
+        while len(walk) < len(comp):
+            ahead = [w for w in g.neighbors(walk[-1]) if w not in walk[-2:]]
+            assert len(ahead) == 1, "component is not a simple path"
+            walk.append(ahead[0])
         paths.append(tuple(walk))
-    return tuple(paths)
+    return paths
 
 
 def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
@@ -188,17 +168,21 @@ def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
     so each segment's vertices are a consecutive id range.
     """
     derived = derive_sets(instance)
-    lengths = [derived.shifted_target] * derived.n + list(derived.fillers)
-    permutation, segments = forest_permutation(lengths)
+    n = derived.n
+    lengths = [derived.shifted_target] * n + list(derived.fillers)
+    permutation, values = forest_permutation(lengths)
     graph = build_permutation_graph(len(permutation), permutation)
     assert graph.n == derived.m**2
-    paths = _component_paths(graph, segments)
+    segments = tuple(
+        Segment("block", j + 1, path) if j < n
+        else Segment("filler", j - n + 1, path)
+        for j, path in enumerate(_component_paths(graph, values))
+    )
     return PermutationArtifact(
         derived=derived,
-        permutation=permutation,
         segments=segments,
         graph=graph,
-        paths=paths,
+        permutation=permutation,
     )
 
 
@@ -208,39 +192,10 @@ def partition_to_schedule_pg(
     """Turn a solution into a complete schedule of exactly m rounds.
 
     Each filler component becomes one cluster centered mid-path; triple
-    i tiles block i in ascending order along its path.  A cluster of
-    size s spreads for (s - 1) / 2 rounds, which fixes its round, and
-    all m sizes are distinct, so the rounds are a permutation: the i-th
-    largest run ignites in round i.
+    i tiles block i in ascending order along its path.  The i-th largest
+    run ignites in round i.
     """
-    derived = artifact.derived
-    if not verify_partition(derived.instance, partition):
-        raise InstanceError("partition does not solve the gadget's instance")
-    k = artifact.target_rounds
-    placed: list[tuple[int, int]] = []  # (round, center)
-
-    def place(path: tuple[int, ...], offset: int, size: int) -> None:
-        placed.append((k - (size - 1) // 2, path[offset + (size - 1) // 2]))
-
-    triples = iter(partition.triples)
-    for si, seg in enumerate(artifact.segments):
-        path = artifact.paths[si]
-        if si < derived.n:
-            offset = 0
-            for a in next(triples):
-                size = 2 * a - 1
-                place(path, offset, size)
-                offset += size
-            assert offset == seg.size
-        else:
-            place(path, 0, seg.size)
-
-    placed.sort()
-    assert [t for t, _ in placed] == list(range(1, k + 1))
-    schedule = BurningSchedule.of(center for _, center in placed)
-    outcome = simulate(artifact.graph, schedule)
-    assert outcome.complete and outcome.rounds_used == k
-    return schedule
+    return place_clusters(artifact, partition)
 
 
 def schedule_to_partition_pg(
@@ -250,72 +205,9 @@ def schedule_to_partition_pg(
 
     Every cluster must be a run inside one component, and the runs must
     tile each component exactly; anything else raises
-    NotOptimalShapedError.  Blocks and fillers then share the sizes
-    1, 3, ..., 2m - 1, and the same exchange normalization as the
-    interval gadget settles each filler on its own size, leaving one
-    solution triple per block.
+    NotOptimalShapedError.  Each block then reads off one triple.
     """
-    sched = BurningSchedule.of(schedule)
-    k = artifact.target_rounds
-    if len(sched) != k:
-        raise ExtractionError(
-            f"schedule has {len(sched)} rounds, the gadget decides at {k}"
-        )
-    try:
-        complete = verify_schedule(artifact.graph, sched)
-    except ScheduleError as exc:
-        raise ExtractionError(f"schedule rejected: {exc}") from exc
-    if not complete:
-        raise ExtractionError("schedule does not burn the whole gadget")
-
-    offset_of = {}
-    for si, path in enumerate(artifact.paths):
-        for off, v in enumerate(path):
-            offset_of[v] = (si, off)
-
-    spans_by_segment: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for t, src in enumerate(sched, start=1):
-        radius = k - t
-        si, off = offset_of[src]
-        seg = artifact.segments[si]
-        lo, hi = off - radius, off + radius
-        if lo < 0 or hi >= seg.size:
-            raise NotOptimalShapedError(
-                f"round-{t} cluster [{lo}, {hi}] spills out of the "
-                f"{artifact.segment_kind(si)} component of order {seg.size}"
-            )
-        spans_by_segment[si].append((lo, hi))
-
-    sizes_by_segment: dict[int, list[int]] = {}
-    for si, seg in enumerate(artifact.segments):
-        kind = artifact.segment_kind(si)
-        spans = sorted(spans_by_segment.get(si, ()))
-        cursor = 0
-        for lo, hi in spans:
-            if lo != cursor:
-                raise NotOptimalShapedError(
-                    f"{kind} component of order {seg.size} is not tiled "
-                    f"exactly (gap or overlap at offset {min(lo, cursor)})"
-                )
-            cursor = hi + 1
-        if cursor != seg.size:
-            raise NotOptimalShapedError(
-                f"{kind} component of order {seg.size} is not tiled "
-                f"exactly (uncovered tail from offset {cursor})"
-            )
-        sizes_by_segment[si] = [hi - lo + 1 for lo, hi in spans]
-
-    block_ids = list(range(artifact.derived.n))
-    fillers_desc = sorted(
-        ((si, seg.size) for si, seg in enumerate(artifact.segments)
-         if si >= artifact.derived.n),
-        key=lambda pair: -pair[1],
-    )
-    partition = settle_block_triples(
-        sizes_by_segment, block_ids, fillers_desc
-    )
-    assert verify_partition(artifact.derived.instance, partition)
-    return partition
+    return read_off_partition(artifact, schedule)
 
 
 def write_permutation(permutation: Sequence[int]) -> str:

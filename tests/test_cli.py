@@ -72,6 +72,15 @@ class TestGen:
         )
         assert code == 2
 
+    def test_unwritable_output_is_malformed(self, tmp_path, path9_file,
+                                            capsys):
+        out = tmp_path / "no-such-dir" / "x.sched"
+        code = main(["greedy", "--graph", path9_file, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_complete(self, tmp_path, path9_file, capsys):
@@ -177,6 +186,12 @@ class TestGrid:
     def test_rows_required_without_sweep(self):
         assert main(["grid", "--rows", "5"]) == 2
 
+    def test_sweep_rejects_zero_jobs(self, capsys):
+        assert main(["grid", "--sweep", "3", "--jobs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --jobs must be at least 1, got 0\n"
+
 
 def read_graph_for_grid(rows: int, cols: int):
     from burnkit.graph import build_grid
@@ -207,7 +222,8 @@ class TestThreePart:
 
 
 class TestReductions:
-    def test_reduce_ig_roundtrip_files(self, tmp_path, instance_file):
+    def test_reduce_ig_roundtrip_files(self, tmp_path, instance_file,
+                                       capsys):
         graph_file = tmp_path / "ig.graph"
         intervals_file = tmp_path / "ig.intervals"
         witness_file = tmp_path / "ig.schedule"
@@ -218,6 +234,12 @@ class TestReductions:
             "--witness", str(witness_file),
         ])
         assert code == 0
+        assert capsys.readouterr().out == (
+            "m = 16\n"
+            "vertices = 1888\n"
+            "target rounds = 33\n"
+            f"witness of 33 rounds written to {witness_file}\n"
+        )
 
         # the emitted intervals regenerate the emitted graph exactly
         regen = tmp_path / "regen.graph"
@@ -233,7 +255,8 @@ class TestReductions:
         out = simulate(art.graph, sched)
         assert out.complete and out.rounds_used == 33
 
-    def test_reduce_pg_roundtrip_files(self, tmp_path, instance_file):
+    def test_reduce_pg_roundtrip_files(self, tmp_path, instance_file,
+                                       capsys):
         graph_file = tmp_path / "pg.graph"
         perm_file = tmp_path / "pg.perm"
         witness_file = tmp_path / "pg.schedule"
@@ -244,6 +267,13 @@ class TestReductions:
             "--witness", str(witness_file),
         ])
         assert code == 0
+        assert capsys.readouterr().out == (
+            "m = 16\n"
+            "vertices = 256\n"
+            "components = 12\n"
+            "target rounds = 16\n"
+            f"witness of 16 rounds written to {witness_file}\n"
+        )
         regen = tmp_path / "regen.graph"
         assert main(["gen", "pg", "--perm", str(perm_file),
                      "--out", str(regen)]) == 0
@@ -259,17 +289,28 @@ class TestReductions:
         code = main(["reduce-pg", "--in", str(path),
                      "--witness", str(tmp_path / "w.txt")])
         assert code == 1
-        assert "no" in capsys.readouterr().err.lower()
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "m = 21\nvertices = 441\ncomponents = 17\ntarget rounds = 21\n"
+        )
+        assert captured.err == "instance has no solution, no witness written\n"
 
     def test_extract_ig(self, tmp_path, instance_file, capsys):
         witness_file = tmp_path / "w.txt"
         assert main(["reduce-ig", "--in", instance_file,
-                     "--witness", str(witness_file)]) == 0
+                     "--witness", str(witness_file), "--report", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"m": 16, "target_rounds": 33, "vertices": 1888, "witness": '
+            "[107, 246, 333, 410, 483, 552, 617, 678, 735, 788, 837, 882, "
+            "924, 964, 1002, 1038, 1072, 199, 60, 32, 290, 172, 150, 9, 372, "
+            "447, 518, 585, 648, 707, 762, 813, 860]}\n"
+        )
         assert main(["extract-ig", "--artifact", instance_file,
                      "--schedule", str(witness_file),
                      "--report", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert payload["triples"] == [[10, 14, 15], [11, 12, 16]]
+        assert capsys.readouterr().out == (
+            '{"triples": [[10, 14, 15], [11, 12, 16]]}\n'
+        )
 
     def test_extract_pg_rejects_perturbed(self, tmp_path, instance_file):
         witness_file = tmp_path / "w.txt"
@@ -286,11 +327,25 @@ class TestReductions:
 class TestDemosAndDispatch:
     def test_interval_demo(self, capsys):
         assert main(["--demo", "s5.2"]) == 0
-        assert capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "instance: 10 11 12 14 15 16\n"
+            "solution: 10 14 15; 11 12 16\n"
+            "interval gadget: 1888 vertices, spine 1089, "
+            "decides at 33 rounds\n"
+            "schedule burns everything in 33 rounds\n"
+            "extracted partition matches: 10 14 15; 11 12 16\n"
+        )
 
     def test_permutation_demo(self, capsys):
         assert main(["--demo", "s6.3"]) == 0
-        assert capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "instance: 10 11 12 14 15 16\n"
+            "path forest gadget: 256 vertices, component orders "
+            "75 75 25 17 15 13 11 9 7 5 3 1\n"
+            "schedule burns everything in 16 rounds\n"
+            "exact search agrees: burning number = 16\n"
+            "extracted partition matches: 10 14 15; 11 12 16\n"
+        )
 
     def test_no_command_prints_usage(self, capsys):
         assert main([]) == 2

@@ -10,6 +10,7 @@ from burnkit.graph import (
     IntervalRepresentation,
     bfs_distances,
     ball,
+    ball_distances,
     build_comb,
     build_grid,
     build_interval_graph,
@@ -18,7 +19,6 @@ from burnkit.graph import (
     build_permutation_graph,
     connected_components,
     is_connected,
-    longest_shortest_path,
     radical_center,
     read_graph,
     read_intervals,
@@ -114,12 +114,21 @@ class TestDistances:
     def test_radical_center_of_path(self):
         assert radical_center(build_path(9)) == 4
 
-    def test_longest_shortest_path_on_grid(self):
-        path = longest_shortest_path(build_grid(3, 3)).vertices
-        assert path == (0, 1, 2, 5, 8)
-        g = build_grid(3, 3)
-        for a, b in zip(path, path[1:]):
-            assert b in g.neighbors(a)
+    def test_radical_center_within_a_component(self):
+        g = build_path_forest([3, 6])
+        assert radical_center(g, [3, 4, 5, 6, 7, 8]) == 5
+        assert radical_center(g, [0, 1, 2]) == 1
+        with pytest.raises(GraphError, match="connected"):
+            radical_center(g)
+
+    def test_ball_distances_agree_with_bfs(self):
+        g = build_grid(5, 5)
+        full = bfs_distances(g, (12, 0))
+        for radius in range(5):
+            got = ball_distances(g, (12, 0), radius)
+            want = {v: d for v, d in enumerate(full) if d <= radius}
+            assert got == want
+            assert ball(g, (12, 0), radius) == set(want)
 
 
 class TestSerialization:

@@ -10,14 +10,13 @@ from burnkit.errors import (
     InstanceError,
     NotOptimalShapedError,
 )
+from burnkit.gadget import derive_sets, settle_block_triples
 from burnkit.graph import build_interval_graph, read_intervals, write_intervals
 from burnkit.interval_reduction import (
     IntervalArtifact,
     construct_ig,
-    derive_sets,
     partition_to_schedule,
     schedule_to_partition,
-    settle_block_triples,
 )
 from burnkit.partition import Partition3, ThreePartitionInstance
 
@@ -60,14 +59,13 @@ def alternate_schedule(
             sizes = sorted(
                 (2 * a - 1 for a in next(feed)), reverse=descending
             )
-            pos = seg.start
-            for size in sizes:
-                placed.append((k - (size - 1) // 2, pos + (size - 1) // 2))
-                pos += size
         else:
-            placed.append(
-                (k - (seg.size - 1) // 2, seg.start + (seg.size - 1) // 2)
-            )
+            sizes = [seg.size]
+        pos = 0
+        for size in sizes:
+            r = (size - 1) // 2
+            placed.append((k - r, seg.vertices[pos + r]))
+            pos += size
     placed.sort()
     assert [t for t, _ in placed] == list(range(1, k + 1))
     return [c for _, c in placed]
@@ -121,18 +119,16 @@ class TestConstruction:
         ]
 
     def test_segments_tile_the_spine(self, worked_art):
-        cursor = 0
-        for seg in worked_art.segments:
-            assert seg.start == cursor
-            cursor = seg.end + 1
-        assert cursor == worked_art.spine_len
+        spine = [v for seg in worked_art.segments for v in seg.vertices]
+        assert spine == list(range(worked_art.spine_len))
 
     def test_leaves_sit_on_comb_interiors(self, tiny_art):
         for leaf in range(tiny_art.spine_len, tiny_art.graph.n):
-            host = tiny_art.host_of(leaf)
-            seg = tiny_art.segment_at(host)
+            si, off = tiny_art.where[leaf]
+            seg = tiny_art.segments[si]
             assert seg.kind == "comb"
-            assert seg.start < host < seg.end
+            assert 0 < off < seg.size - 1
+            assert tiny_art.graph.neighbors(leaf) == (seg.vertices[off],)
 
     def test_representation_round_trips_edge_identical(self, worked_art):
         text = write_intervals(worked_art.representation)

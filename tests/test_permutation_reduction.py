@@ -124,12 +124,13 @@ class TestConstructPx:
         assert tiny_art.graph.n == 36
         assert tiny_art.target_rounds == 6
         assert [s.size for s in tiny_art.segments] == [27, 5, 3, 1]
-        assert [
-            tiny_art.segment_kind(i) for i in range(len(tiny_art.segments))
-        ] == ["block", "filler", "filler", "filler"]
+        assert [s.kind for s in tiny_art.segments] == [
+            "block", "filler", "filler", "filler",
+        ]
 
     def test_paths_walk_real_edges(self, worked_art):
-        for path in worked_art.paths:
+        for seg in worked_art.segments:
+            path = seg.vertices
             for u, v in zip(path, path[1:]):
                 assert v in worked_art.graph.neighbors(u)
 
@@ -196,7 +197,7 @@ class TestReverse:
     def test_incomplete_schedule_rejected(self, tiny_art):
         # sources spaced along the block path never burn each other,
         # and the filler components never catch fire at all
-        block = tiny_art.paths[0]
+        block = tiny_art.segments[0].vertices
         sched = [block[p] for p in (0, 4, 8, 12, 16, 20)]
         assert not simulate(tiny_art.graph, sched).complete
         with pytest.raises(ExtractionError, match="whole gadget"):
