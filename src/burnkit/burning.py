@@ -12,7 +12,9 @@ the ball-union form, and the two are cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import InputError, ScheduleError
 from .graph import (
@@ -82,6 +84,43 @@ def _check_sources(g: Graph, sources: tuple[int, ...]) -> None:
         raise ScheduleError("schedule repeats a source")
 
 
+_SPREAD_ONLY = -1
+
+
+def _walk_fire(
+    g: Graph, choose: Callable[[int, list[int | None], int], int | None]
+) -> tuple[list[int | None], int, int]:
+    """The round kernel; returns burn_round, rounds run and burnt count.
+
+    choose(t, burn_round, burnt) sees the state at the start of round t
+    and returns its source, _SPREAD_ONLY, or None to stop.  The fire then
+    spreads one hop and the source catches fire.  A spread-only round in
+    which nothing new burns ends the walk and is not counted.
+    """
+    adj = g.adjacency
+    burn_round: list[int | None] = [None] * g.n
+    frontier: list[int] = []  # vertices that caught fire in the previous round
+    burnt = 0
+    t = 0
+    while (src := choose(t + 1, burn_round, burnt)) is not None:
+        new = []
+        for u in frontier:
+            for w in adj[u]:
+                if burn_round[w] is None:
+                    burn_round[w] = t + 1
+                    new.append(w)
+        if src == _SPREAD_ONLY:
+            if not new:
+                break
+        elif burn_round[src] is None:
+            burn_round[src] = t + 1
+            new.append(src)
+        t += 1
+        frontier = new
+        burnt += len(new)
+    return burn_round, t, burnt
+
+
 def simulate(
     g: Graph,
     schedule: BurningSchedule | Sequence[int],
@@ -96,46 +135,19 @@ def simulate(
     """
     sources = _coerce(schedule)
     _check_sources(g, sources)
-    burn_round: list[int | None] = [None] * g.n
-    frontier: list[int] = []  # vertices that caught fire in the previous round
-    adj = g.adjacency
-    burnt = 0
-    t = 0
-    for t, src in enumerate(sources, start=1):
-        spread = [
-            w for u in frontier for w in adj[u] if burn_round[w] is None
-        ]
+
+    def scheduled(t: int, burn_round: list[int | None], burnt: int):
+        if t > len(sources):
+            return _SPREAD_ONLY if to_completion else None
+        src = sources[t - 1]
         if burn_round[src] is not None:
             raise ScheduleError(
                 f"source {src} of round {t} already burnt in round "
                 f"{burn_round[src]}"
             )
-        new = []
-        for w in spread:
-            if burn_round[w] is None:
-                burn_round[w] = t
-                new.append(w)
-        if burn_round[src] is None:
-            burn_round[src] = t
-            new.append(src)
-        frontier = new
-        burnt += len(new)
-    rounds_used = t
-    if to_completion:
-        while burnt < g.n and frontier:
-            spread = [
-                w for u in frontier for w in adj[u] if burn_round[w] is None
-            ]
-            if not spread:
-                break
-            rounds_used += 1
-            new = []
-            for w in spread:
-                if burn_round[w] is None:
-                    burn_round[w] = rounds_used
-                    new.append(w)
-            frontier = new
-            burnt += len(new)
+        return src
+
+    burn_round, rounds_used, burnt = _walk_fire(g, scheduled)
     return BurnOutcome(
         rounds_used=rounds_used,
         complete=burnt == g.n,
@@ -183,6 +195,32 @@ def verify_schedule(
     return len(covered) == g.n
 
 
+def _farthest_first(
+    n: int, distances_from: Callable[[int], np.ndarray], planned: list[int]
+) -> BurningSchedule:
+    """The farthest-first loop under greedy_burn and the grid burner.
+
+    field[v] is v's distance to the fire, 0 once burnt.  A round maps it
+    to min(max(field - 1, 0), distances_from(x)) for the lit source x.
+    Planned sources go first, a burnt one swapped for the farthest
+    vertex; then the farthest burns until the field is all zero.  The
+    field starts at 2n + 2, the value oracles give unreachable vertices,
+    so these stay tied and above every real distance for n rounds.
+    argmax returns the first maximum: the smallest id wins ties.
+    """
+    # int32 halves the memory traffic of the whole-array update
+    field = np.full(n, 2 * n + 2, dtype=np.int32)
+    planned_left = iter(planned)
+    sources = []
+    while field.any():
+        x = next(planned_left, None)
+        if x is None or field[x] == 0:
+            x = int(field.argmax())
+        sources.append(x)
+        np.minimum(np.maximum(field - 1, 0), distances_from(x), out=field)
+    return BurningSchedule.of(sources)
+
+
 def greedy_burn(g: Graph) -> BurningSchedule:
     """Farthest-first heuristic burn; returns a complete valid schedule.
 
@@ -191,33 +229,13 @@ def greedy_burn(g: Graph) -> BurningSchedule:
     far (unreached components count as infinitely far; smallest id breaks
     ties).
     """
-    comps = connected_components(g)
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    first = radical_center(g, comps[0])
-    sources = [first]
-    burnt: set[int] = set()
-    frontier = []
-    adj = g.adjacency
-    pick = first
-    while True:
-        spread = [w for u in frontier for w in adj[u] if w not in burnt]
-        new = set(spread)
-        new.add(pick)
-        new -= burnt
-        burnt |= new
-        frontier = sorted(new)
-        if len(burnt) == g.n:
-            return BurningSchedule.of(sources)
-        dist = bfs_distances(g, burnt)
-        far = -2
-        pick = -1
-        for v in range(g.n):
-            if v in burnt:
-                continue
-            d = dist[v] if dist[v] != UNREACHED else g.n + 1
-            if d > far:
-                far, pick = d, v
-        sources.append(pick)
+    largest = min(connected_components(g), key=lambda c: (-len(c), c[0]))
+
+    def distances_from(x: int) -> np.ndarray:
+        row = np.array(bfs_distances(g, (x,)), dtype=np.int32)
+        return np.where(row == UNREACHED, 2 * g.n + 2, row)
+
+    return _farthest_first(g.n, distances_from, [radical_center(g, largest)])
 
 
 def assert_agreement(

@@ -115,6 +115,10 @@ def _triples_text(partition) -> str:
 def _gen_forest(args: argparse.Namespace):
     lengths = list(args.lengths or ())
     if args.random:
+        if args.max_len < 1:
+            raise InputError(
+                f"--max-len must be at least 1, got {args.max_len}"
+            )
         rng = random.Random(args.seed)
         lengths.extend(
             rng.randint(1, args.max_len) for _ in range(args.random)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .burning import BurningSchedule, greedy_burn, simulate
+from .burning import BurningSchedule, _walk_fire, greedy_burn, simulate
 from .errors import BudgetExceededError
 from .graph import Graph, UNREACHED, bfs_distances, connected_components
 from .intmath import ceil_sqrt
@@ -151,38 +151,27 @@ class _Profile:
         return max(lb, k)
 
 
-def _realize(g: Graph, planned: list[int | None], k: int) -> list[int]:
-    """Turn a staggered-ball cover into a valid schedule of length <= k.
+def _realize(g: Graph, planned: list[int | None]) -> list[int]:
+    """Turn a cover into a valid schedule of at most len(planned) rounds.
 
     Walks the process round by round placing each planned center; a
     round with no center, or whose center is already burnt, ignites the
     smallest unburnt vertex instead (the skipped ball burns regardless,
     the stand-in only adds).  Stops early if the fire completes sooner.
     """
-    adj = g.adjacency
-    burnt = [False] * g.n
-    nburnt = 0
-    frontier: list[int] = []
     schedule: list[int] = []
-    for t in range(1, k + 1):
-        if nburnt == g.n:
-            break
-        spread = [w for u in frontier for w in adj[u] if not burnt[w]]
-        src = planned[t - 1] if t - 1 < len(planned) else None
-        if src is None or burnt[src]:
-            src = burnt.index(False)
-        new = []
-        for w in spread:
-            if not burnt[w]:
-                burnt[w] = True
-                new.append(w)
-        if not burnt[src]:
-            burnt[src] = True
-            new.append(src)
-        nburnt += len(new)
-        frontier = new
+
+    def planned_or_smallest(t: int, burn_round: list[int | None], burnt: int):
+        if burnt == g.n or t > len(planned):
+            return None
+        src = planned[t - 1]
+        if src is None or burn_round[src] is not None:
+            src = burn_round.index(None)
         schedule.append(src)
-    assert nburnt == g.n, "cover failed to burn out during realization"
+        return src
+
+    _, _, burnt = _walk_fire(g, planned_or_smallest)
+    assert burnt == g.n, "cover failed to burn out during realization"
     return schedule
 
 
@@ -273,10 +262,7 @@ def _attempt(
     planned = _search(profile, k, budget)
     if planned is None:
         return None
-    witness = BurningSchedule.of(_realize(profile.graph, planned, k))
-    outcome = simulate(profile.graph, witness)
-    assert outcome.complete, "realized schedule failed to burn the graph"
-    return witness
+    return BurningSchedule.of(_realize(profile.graph, planned))
 
 
 def can_burn_in(

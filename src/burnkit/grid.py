@@ -1,11 +1,9 @@
 """Bounds and a factor-2 heuristic burner for rectangular grids.
 
-Grid vertices use row-major ids, matching build_grid.  Distances in a
-grid are Manhattan distances, which lets the heuristic maintain the
-distance-to-fire field as a flat array update per round instead of a
-BFS: one round of spreading turns dist(v, burnt) into
-max(dist(v, burnt) - 1, 0), and adding a source x lowers it to at most
-|v - x| in the Manhattan metric.
+Grid vertices use row-major ids, matching build_grid.  The heuristic
+runs the farthest-first engine of burning.py, whose distance-to-fire
+field is updated by whole-array steps; on a grid the distance oracle
+is the Manhattan distance, so no round needs a BFS.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .burning import BurningSchedule, simulate
+from .burning import BurningSchedule, _farthest_first, simulate
 from .errors import InputError
 from .graph import build_grid
 from .intmath import ceil_pow23
@@ -126,45 +124,29 @@ def burn_grid_2approx(grid: GridSpec) -> GridBurnReport:
     rows, cols = grid.rows, grid.cols
     rr = np.arange(rows, dtype=np.int32)[:, None]
     cc = np.arange(cols, dtype=np.int32)[None, :]
-    dist = np.full((rows, cols), rows + cols, dtype=np.int32)
+
+    def manhattan_from(x: int) -> np.ndarray:
+        r, c = divmod(x, cols)
+        return (np.abs(rr - r) + np.abs(cc - c)).ravel()
 
     h, w = subgrid_dims(grid)
     planned = [
-        (r0 + (min(h, rows - r0) - 1) // 2, c0 + (min(w, cols - c0) - 1) // 2)
+        (r0 + (min(h, rows - r0) - 1) // 2) * cols
+        + c0 + (min(w, cols - c0) - 1) // 2
         for r0 in range(0, rows, h)
         for c0 in range(0, cols, w)
     ]
-
-    ids: list[int] = []
-
-    def ignite(r: int, c: int) -> None:
-        ids.append(r * cols + c)
-        np.minimum(
-            np.maximum(dist - 1, 0),
-            np.abs(rr - r) + np.abs(cc - c),
-            out=dist,
-        )
-
-    for r, c in planned:
-        if not dist.any():
-            break
-        if dist[r, c] == 0:
-            r, c = divmod(int(dist.argmax()), cols)
-        ignite(r, c)
-    while dist.any():
-        ignite(*divmod(int(dist.argmax()), cols))
-
-    schedule = BurningSchedule.of(ids)
+    schedule = _farthest_first(grid.n, manhattan_from, planned)
     outcome = simulate(build_grid(rows, cols), schedule)
-    assert outcome.complete and outcome.rounds_used == len(ids)
+    assert outcome.complete and outcome.rounds_used == len(schedule)
 
     lower = grid_lower_bound(grid)
     upper = upper_bound_formula(grid.side) if grid.is_square else None
     return GridBurnReport(
         grid=grid,
         schedule=schedule,
-        rounds_used=len(ids),
+        rounds_used=len(schedule),
         lower_bound=lower,
         upper_bound=upper,
-        ratio=len(ids) / lower,
+        ratio=len(schedule) / lower,
     )

@@ -35,7 +35,7 @@ from .gadget import (
     place_clusters,
     read_off_partition,
 )
-from .graph import Graph, IntervalRepresentation, build_interval_graph
+from .graph import IntervalRepresentation, build_interval_graph
 from .partition import Partition3, ThreePartitionInstance
 
 
@@ -103,11 +103,18 @@ def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
     rep = IntervalRepresentation(tuple(intervals))
     graph = build_interval_graph(rep)
 
-    expected = [(p, p + 1) for p in range(spine_len - 1)]
-    expected.extend(
-        (h, spine_len + i) for i, h in enumerate(leaf_hosts)
-    )
-    assert graph == Graph(spine_len + len(leaf_hosts), expected)
+    # spine p neighbours p - 1, p + 1 and its leaf; a leaf its host
+    leaf_of = {h: spine_len + i for i, h in enumerate(leaf_hosts)}
+    expected = tuple(
+        tuple(q for q in (p - 1, p + 1) if 0 <= q < spine_len)
+        + ((leaf_of[p],) if p in leaf_of else ())
+        for p in range(spine_len)
+    ) + tuple((h,) for h in leaf_hosts)
+    if graph.adjacency != expected:
+        raise AssertionError(
+            "interval representation does not give the spine-plus-leaves "
+            "caterpillar"
+        )
     assert graph.n == 7 * derived.m**2 + 6 * derived.m
 
     return IntervalArtifact(

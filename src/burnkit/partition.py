@@ -110,7 +110,7 @@ def solve_3partition(
 
     Backtracks on the largest unplaced element: its two partners are
     scanned in decreasing order, with the third member looked up by
-    value.  Raises BudgetExceededError if node_budget recursion steps
+    value.  Raises BudgetExceededError if node_budget search nodes
     are not enough to settle the instance.
     """
     validate_instance(instance)
@@ -122,7 +122,8 @@ def solve_3partition(
     chosen: list[Triple] = []
     spent = 0
 
-    def extend(lo: int) -> bool:
+    def node(lo: int) -> int:
+        """Count one search node; return its element, the first unused."""
         nonlocal spent
         spent += 1
         if spent > node_budget:
@@ -130,36 +131,49 @@ def solve_3partition(
                 f"solver budget of {node_budget} nodes exhausted",
                 nodes_explored=spent,
             )
-        i = lo
-        while i < m and used[i]:
-            i += 1
-        if i == m:
-            return True
-        a = order[i]
-        used[i] = True
-        need = b - a
-        for j in range(i + 1, m):
-            if used[j]:
-                continue
-            second = order[j]
-            if 2 * second <= need:
-                break  # partners only get smaller from here
-            k = index_of.get(need - second)
-            if k is not None and k > j and not used[k]:
-                used[j] = used[k] = True
-                chosen.append((need - second, second, a))
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-                used[j] = used[k] = False
-        used[i] = False
-        return False
+        while lo < m and used[lo]:
+            lo += 1
+        return lo
 
-    if extend(0):
-        solution = Partition3.of(chosen)
-        assert verify_partition(instance, solution)
-        return solution
-    return None
+    # one frame per open node: [its element, partner tried last, its third];
+    # depth grows with the triple count, so the stack is explicit
+    stack: list[list[int]] = []
+    i = node(0)
+    while i < m:
+        used[i] = True
+        stack.append([i, i, -1])
+        while True:  # the deepest open node's next choice, or backtrack
+            if not stack:
+                return None
+            frame = stack[-1]
+            top, j, k = frame
+            if k >= 0:  # the subtree under this choice failed
+                used[j] = used[k] = False
+                chosen.pop()
+            a = order[top]
+            need = b - a
+            k = -1
+            for j in range(j + 1, m):
+                if used[j]:
+                    continue
+                second = order[j]
+                if 2 * second <= need:
+                    break  # partners only get smaller from here
+                third = index_of.get(need - second)
+                if third is not None and third > j and not used[third]:
+                    k = third
+                    break
+            if k >= 0:
+                break
+            used[top] = False
+            stack.pop()
+        used[j] = used[k] = True
+        chosen.append((need - second, second, a))
+        frame[1], frame[2] = j, k
+        i = node(top + 1)
+    solution = Partition3.of(chosen)
+    assert verify_partition(instance, solution)
+    return solution
 
 
 def write_instance(instance: ThreePartitionInstance) -> str:

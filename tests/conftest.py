@@ -10,7 +10,13 @@ import pytest
 
 from burnkit.burning import BurningSchedule, simulate
 from burnkit.errors import ScheduleError
-from burnkit.graph import Graph
+from burnkit.graph import (
+    Graph,
+    UNREACHED,
+    bfs_distances,
+    connected_components,
+    radical_center,
+)
 from burnkit.partition import (
     Partition3,
     ThreePartitionInstance,
@@ -40,6 +46,41 @@ def optimal_schedules(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
             continue
         if outcome.complete:
             yield perm
+
+
+def reference_greedy_burn(g: Graph) -> BurningSchedule:
+    """Round-by-round farthest-first burn, kept as a schedule oracle.
+
+    Spreads a frontier and runs a multi-source BFS from everything burnt
+    each round; greedy_burn must return exactly these schedules.
+    """
+    comps = connected_components(g)
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    first = radical_center(g, comps[0])
+    sources = [first]
+    burnt: set[int] = set()
+    frontier = []
+    adj = g.adjacency
+    pick = first
+    while True:
+        spread = [w for u in frontier for w in adj[u] if w not in burnt]
+        new = set(spread)
+        new.add(pick)
+        new -= burnt
+        burnt |= new
+        frontier = sorted(new)
+        if len(burnt) == g.n:
+            return BurningSchedule.of(sources)
+        dist = bfs_distances(g, burnt)
+        far = -2
+        pick = -1
+        for v in range(g.n):
+            if v in burnt:
+                continue
+            d = dist[v] if dist[v] != UNREACHED else g.n + 1
+            if d > far:
+                far, pick = d, v
+        sources.append(pick)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnkit.burning import (
     BurningSchedule,
@@ -23,7 +25,32 @@ from burnkit.graph import (
     build_path,
     build_path_forest,
 )
-from conftest import optimal_schedules, random_graph
+from burnkit.interval_reduction import construct_ig
+from burnkit.partition import ThreePartitionInstance
+from burnkit.permutation_reduction import construct_px
+from conftest import optimal_schedules, random_graph, reference_greedy_burn
+
+WORKED = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
+
+
+@st.composite
+def graphs_and_schedules(draw):
+    """A graph on up to 9 vertices and a schedule that may be malformed:
+    empty, repeating a source, or naming a vertex out of range."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = (
+        draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    )
+    sources = draw(st.lists(st.integers(-1, n), max_size=n + 1))
+    return Graph(n, edges), sources
+
+
+def _decide(decider, g, sources):
+    try:
+        return decider(g, sources)
+    except ScheduleError:
+        return ScheduleError
 
 
 class TestSimulate:
@@ -115,6 +142,16 @@ class TestVerify:
             except ScheduleError:
                 pass  # both deciders rejected; agreement already checked
 
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_schedules())
+    def test_property_simulate_agrees_with_verify(self, case):
+        g, sources = case
+        by_union = _decide(verify_schedule, g, sources)
+        by_rounds = _decide(
+            lambda g, s: simulate(g, s).complete, g, sources
+        )
+        assert by_union == by_rounds
+
     def test_relabeling_invariance(self):
         rng = random.Random(99)
         for _ in range(60):
@@ -194,6 +231,35 @@ class TestGreedy:
             sched = greedy_burn(g)
             out = simulate(g, sched)
             assert out.complete and out.rounds_used == len(sched)
+
+    def test_matches_reference_on_random_graphs(self):
+        # sparse draws are mostly disconnected, dense ones full of ties
+        rng = random.Random(2016)
+        for _ in range(150):
+            g = random_graph(
+                rng, rng.randint(1, 40), rng.choice([0.03, 0.08, 0.2, 0.6])
+            )
+            assert greedy_burn(g) == reference_greedy_burn(g)
+
+    def test_matches_reference_on_random_trees(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            n = rng.randint(1, 120)
+            g = Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+            assert greedy_burn(g) == reference_greedy_burn(g)
+
+    def test_matches_reference_on_structured_graphs(self):
+        rng = random.Random(3)
+        graphs = [build_path(n) for n in (1, 2, 10, 99)]
+        graphs += [build_comb(s) for s in (1, 4, 25)]
+        graphs += [build_grid(r, c) for r, c in ((1, 6), (5, 5), (6, 9))]
+        graphs += [
+            build_path_forest([rng.randint(1, 15) for _ in range(k)])
+            for k in (1, 3, 6, 10)
+        ]
+        graphs += [construct_ig(WORKED).graph, construct_px(WORKED).graph]
+        for g in graphs:
+            assert greedy_burn(g) == reference_greedy_burn(g)
 
     def test_reasonable_on_paths(self):
         # within the factor guaranteed by restarting at the center

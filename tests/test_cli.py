@@ -43,6 +43,17 @@ class TestGen:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_forest_random_rejects_nonpositive_max_len(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "x.graph"
+        argv = ["gen", "forest", "--random", "3", "--max-len", "0",
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-len must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_grid_and_explicit_forest(self, tmp_path):
         out = tmp_path / "g.graph"
         assert main(

@@ -8,7 +8,15 @@ import pytest
 from burnkit.burning import simulate
 from burnkit.errors import BudgetExceededError
 from burnkit.exact import can_burn_in, exact_burning_number
-from burnkit.graph import Graph, build_grid, build_path, build_path_forest
+from burnkit.graph import (
+    Graph,
+    build_comb,
+    build_grid,
+    build_path,
+    build_path_forest,
+)
+from burnkit.partition import ThreePartitionInstance
+from burnkit.permutation_reduction import construct_px
 from conftest import naive_burning_number, random_graph
 
 
@@ -68,6 +76,40 @@ class TestCanBurnIn:
         witness = can_burn_in(g, 8)
         assert witness is not None and len(witness) <= 8
         assert simulate(g, witness).complete
+
+
+class TestPinnedResults:
+    """Pinned (k, witness, nodes_explored): a change to the search or
+    to cover realisation shows here.
+
+    Each case reaches the search, so the witness comes out of cover
+    realisation; on the random graph a planned centre is missing and
+    the smallest unburnt vertex stands in.
+    """
+
+    @pytest.mark.parametrize("make,k,witness,nodes", [
+        (lambda: build_path(14), 4, (3, 11, 7, 0), 4),
+        (lambda: build_comb(7), 3, (2, 5, 10), 4),
+        (lambda: build_path_forest([9, 4, 1]), 4, (3, 10, 7, 13), 5),
+        (lambda: Graph(10, [
+            (0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (1, 3), (1, 8),
+            (2, 3), (4, 9), (6, 9), (8, 9),
+        ]), 3, (1, 0, 2), 3),
+    ])
+    def test_small_graphs(self, make, k, witness, nodes):
+        res = exact_burning_number(make())
+        assert (res.k, tuple(res.witness), res.nodes_explored) == (
+            k, witness, nodes
+        )
+
+    def test_worked_permutation_gadget(self):
+        art = construct_px(ThreePartitionInstance.of([10, 11, 12, 14, 15, 16]))
+        res = exact_burning_number(art.graph)
+        assert res.k == 16 and res.nodes_explored == 103_624
+        assert tuple(res.witness) == (
+            16, 88, 137, 161, 64, 42, 112, 182,
+            200, 212, 226, 234, 244, 248, 254, 255,
+        )
 
 
 class TestBudget:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from decimal import ROUND_CEILING, Decimal, getcontext
 
@@ -174,6 +175,23 @@ class TestHeuristicBurner:
 
     def test_non_square_upper_bound_is_none(self):
         assert burn_grid_2approx(GridSpec(4, 7)).upper_bound is None
+
+    # pinned schedules: a change to the planned centres, the swap rule or
+    # the tie-break shows here.  On 4x11, whose schedule is 13 18 21 38
+    # 42, the fourth and fifth block centres (35 and 40) are already
+    # burnt and swapped for the farthest vertex, and the sixth is never
+    # needed
+    @pytest.mark.parametrize("rows,cols,rounds,digest", [
+        (4, 11, 5, "f540ab29507916e9"),
+        (7, 7, 6, "0bd8b1c818e18092"),
+        (10, 13, 9, "df614db7fcd303a7"),
+        (200, 200, 57, "a0a22573f09e3f80"),
+    ])
+    def test_pinned_schedules(self, rows, cols, rounds, digest):
+        report = burn_grid_2approx(GridSpec(rows, cols))
+        text = " ".join(map(str, report.schedule))
+        assert report.rounds_used == rounds
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_beats_exact_by_at_most_factor_two(self):
         for side in range(2, 7):

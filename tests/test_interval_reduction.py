@@ -11,7 +11,13 @@ from burnkit.errors import (
     NotOptimalShapedError,
 )
 from burnkit.gadget import derive_sets, settle_block_triples
-from burnkit.graph import build_interval_graph, read_intervals, write_intervals
+from burnkit import interval_reduction
+from burnkit.graph import (
+    Graph,
+    build_interval_graph,
+    read_intervals,
+    write_intervals,
+)
 from burnkit.interval_reduction import (
     IntervalArtifact,
     construct_ig,
@@ -134,6 +140,18 @@ class TestConstruction:
         text = write_intervals(worked_art.representation)
         rebuilt = build_interval_graph(read_intervals(text))
         assert rebuilt == worked_art.graph
+
+
+    def test_self_check_rejects_a_wrong_graph(self, monkeypatch):
+        def drop_last_edge(rep):
+            g = build_interval_graph(rep)
+            return Graph(g.n, list(g.edges())[:-1])
+
+        monkeypatch.setattr(
+            interval_reduction, "build_interval_graph", drop_last_edge
+        )
+        with pytest.raises(AssertionError, match="caterpillar"):
+            construct_ig(TINY)
 
 
 class TestForward:

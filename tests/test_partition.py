@@ -102,6 +102,14 @@ class TestSolver:
             assert found is not None
             assert verify_partition(instance, found)
 
+    def test_search_depth_is_not_bounded_by_the_call_stack(self):
+        # one search level per triple: 1,500 levels is past Python's
+        # default recursion limit
+        rng = random.Random(1500)
+        instance, _known = random_solvable_instance(rng, 1500)
+        found = solve_3partition(instance)
+        assert found is not None and verify_partition(instance, found)
+
     def test_shuffling_does_not_change_solvability(self):
         rng = random.Random(2718)
         instance, _ = random_solvable_instance(rng, 5)
