@@ -227,7 +227,7 @@ def greedy_burn(g: Graph) -> BurningSchedule:
     The first source is the radical center of the largest component, each
     later round picks the unburnt vertex farthest from everything burnt so
     far (unreached components count as infinitely far; smallest id breaks
-    ties).
+    ties).  The schedule is checked with simulate before it is returned.
     """
     largest = min(connected_components(g), key=lambda c: (-len(c), c[0]))
 
@@ -235,17 +235,23 @@ def greedy_burn(g: Graph) -> BurningSchedule:
         row = np.array(bfs_distances(g, (x,)), dtype=np.int32)
         return np.where(row == UNREACHED, 2 * g.n + 2, row)
 
-    return _farthest_first(g.n, distances_from, [radical_center(g, largest)])
+    sched = _farthest_first(g.n, distances_from, [radical_center(g, largest)])
+    if not simulate(g, sched).complete:
+        raise AssertionError("greedy schedule does not burn the whole graph")
+    return sched
 
 
 def assert_agreement(
     g: Graph, schedule: BurningSchedule | Sequence[int]
 ) -> bool:
-    """Run both deciders and insist they match; used by tests and the CLI."""
+    """Run both deciders and insist they match; used by tests and the CLI.
+
+    A schedule both reject raises verify_schedule's ScheduleError.
+    """
     try:
         by_union = verify_schedule(g, schedule)
-    except ScheduleError:
-        by_union = None
+    except ScheduleError as exc:
+        by_union, rejection = None, exc
     try:
         by_rounds = simulate(g, schedule).complete
     except ScheduleError:
@@ -256,7 +262,7 @@ def assert_agreement(
             f"union={by_union} rounds={by_rounds}"
         )
     if by_union is None:
-        raise ScheduleError("schedule rejected by both deciders")
+        raise rejection
     return by_union
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .burning import BurningSchedule, _walk_fire, greedy_burn, simulate
+from .burning import BurningSchedule, _walk_fire, greedy_burn
 from .errors import BudgetExceededError
 from .graph import Graph, UNREACHED, bfs_distances, connected_components
 from .intmath import ceil_sqrt
@@ -305,5 +305,4 @@ def exact_burning_number(
                 k=len(witness), witness=witness, nodes_explored=budget.used
             )
         k += 1
-    assert simulate(g, heuristic).complete
     return ExactResult(k=ub, witness=heuristic, nodes_explored=budget.used)

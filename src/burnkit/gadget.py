@@ -10,9 +10,10 @@ such a schedule have distinct odd sizes and must tile every segment
 exactly; each block is then tiled by one solution triple.
 
 This module owns that argument once: the derived sets, the segment
-record and its vertex-to-(segment, offset) map, the forward placement
-of a solution's clusters, and the reverse check that reads a solution
-back off any schedule of the target length.
+record and its vertex-to-(segment, offset) map, the check that a built
+graph is exactly the one its segment model describes, the forward
+placement of a solution's clusters, and the reverse check that reads a
+solution back off any schedule of the target length.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ class GadgetArtifact:
         """(leaf, host) pairs for vertices hanging off a segment."""
         return ()
 
+    def model_paths(self) -> Iterable[Sequence[int]]:
+        """Vertex sequences the graph must hold as induced paths."""
+        return (seg.vertices for seg in self.segments)
+
     @cached_property
     def where(self) -> dict[int, tuple[int, int]]:
         """Vertex to (segment index, offset along the segment's path).
@@ -116,6 +121,26 @@ class GadgetArtifact:
         for leaf, host in self.leaf_folds():
             where[leaf] = where[host]
         return where
+
+
+def check_model(artifact: GadgetArtifact, mismatch: str) -> None:
+    """Raise AssertionError(mismatch) unless the graph is the model's.
+
+    The model joins consecutive vertices of each model path, and each
+    leaf to its host.  It must name every vertex exactly once: a path
+    walked on a wrong graph can stop short of a vertex, which would
+    then go unchecked.  Its edges are then distinct, so the graph must
+    hold each of them and no more.
+    """
+    paths = list(artifact.model_paths())
+    folds = list(artifact.leaf_folds())
+    named = [v for path in paths for v in path] + [v for v, _ in folds]
+    edges = [e for path in paths for e in zip(path, path[1:])] + folds
+    adj = artifact.graph.adjacency
+    if (sorted(named) != list(range(len(adj)))
+            or artifact.graph.m != len(edges)
+            or not all(v in adj[u] for u, v in edges)):
+        raise AssertionError(mismatch)
 
 
 def place_clusters(
@@ -264,6 +289,7 @@ def settle_block_triples(
     triples = []
     for bi in block_ids:
         sizes = sorted(sizes_by_bin[bi])
-        assert len(sizes) == 3, "parity and the block sum force three"
+        if len(sizes) != 3:
+            raise AssertionError("parity and the block sum force three")
         triples.append(tuple((s + 1) // 2 for s in sizes))
     return Partition3.of(triples)

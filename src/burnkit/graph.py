@@ -7,6 +7,7 @@ traversal in the package is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -176,15 +177,14 @@ def build_permutation_graph(size: int, perm: Sequence[int]) -> Graph:
         raise GraphError(f"permutation graph needs size >= 1, got {size}")
     if len(perm) != size or sorted(perm) != list(range(1, size + 1)):
         raise GraphError(f"not a permutation of 1..{size}")
-    pos = [0] * (size + 1)
-    for idx, value in enumerate(perm):
-        pos[value] = idx
+    # sweep left to right: the larger values already seen are exactly
+    # the ones that invert against the current value
+    seen: list[int] = []  # ascending
     edges: list[tuple[int, int]] = []
-    for i in range(1, size + 1):
-        pi = pos[i]
-        for j in range(i + 1, size + 1):
-            if pos[j] < pi:
-                edges.append((i - 1, j - 1))
+    for value in perm:
+        at = bisect_right(seen, value)
+        edges.extend((value - 1, w - 1) for w in seen[at:])
+        seen.insert(at, value)
     return Graph(size, edges)
 
 

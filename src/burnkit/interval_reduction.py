@@ -31,6 +31,7 @@ from .gadget import (
     DerivedSets,
     GadgetArtifact,
     Segment,
+    check_model,
     derive_sets,
     place_clusters,
     read_off_partition,
@@ -58,6 +59,10 @@ class IntervalArtifact(GadgetArtifact):
 
     def leaf_folds(self) -> Iterable[tuple[int, int]]:
         return enumerate(self.leaf_hosts, start=self.spine_len)
+
+    def model_paths(self) -> Iterable[Sequence[int]]:
+        # the segments join end to end into one spine
+        return (range(self.spine_len),)
 
 
 def _segment_layout(d: DerivedSets) -> tuple[Segment, ...]:
@@ -87,7 +92,7 @@ def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
     """Build the caterpillar gadget for the instance, with its intervals.
 
     The graph is produced from the interval representation, then checked
-    against the intended spine-plus-leaves adjacency.
+    against the segment model by gadget.check_model.
     """
     derived = derive_sets(instance)
     segments = _segment_layout(derived)
@@ -101,30 +106,18 @@ def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
     intervals = [(20 * p, 20 * p + 30) for p in range(spine_len)]
     intervals.extend((20 * h + 12, 20 * h + 18) for h in leaf_hosts)
     rep = IntervalRepresentation(tuple(intervals))
-    graph = build_interval_graph(rep)
-
-    # spine p neighbours p - 1, p + 1 and its leaf; a leaf its host
-    leaf_of = {h: spine_len + i for i, h in enumerate(leaf_hosts)}
-    expected = tuple(
-        tuple(q for q in (p - 1, p + 1) if 0 <= q < spine_len)
-        + ((leaf_of[p],) if p in leaf_of else ())
-        for p in range(spine_len)
-    ) + tuple((h,) for h in leaf_hosts)
-    if graph.adjacency != expected:
-        raise AssertionError(
-            "interval representation does not give the spine-plus-leaves "
-            "caterpillar"
-        )
-    assert graph.n == 7 * derived.m**2 + 6 * derived.m
-
-    return IntervalArtifact(
+    artifact = IntervalArtifact(
         derived=derived,
         segments=segments,
-        graph=graph,
+        graph=build_interval_graph(rep),
         spine_len=spine_len,
         leaf_hosts=leaf_hosts,
         representation=rep,
     )
+    check_model(artifact, "interval representation does not give the "
+                "spine-plus-leaves caterpillar")
+    assert artifact.graph.n == 7 * derived.m**2 + 6 * derived.m
+    return artifact
 
 
 def partition_to_schedule(

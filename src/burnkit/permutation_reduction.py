@@ -23,18 +23,19 @@ with the interval gadget in gadget.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .burning import BurningSchedule
 from .errors import GraphError, InstanceError
 from .gadget import (
     GadgetArtifact,
     Segment,
+    check_model,
     derive_sets,
     place_clusters,
     read_off_partition,
 )
-from .graph import Graph, build_permutation_graph, connected_components
+from .graph import Graph, build_permutation_graph
 from .partition import Partition3, ThreePartitionInstance
 
 
@@ -66,26 +67,15 @@ class PermutationArtifact(GadgetArtifact):
         return self.derived.m
 
 
-def _induced_segment_graph(seq: Sequence[int], first: int) -> Graph:
-    relabeled = [v - first + 1 for v in seq]
-    return build_permutation_graph(len(seq), relabeled)
-
-
-def _assert_path(g: Graph) -> None:
-    assert g.m == g.n - 1, "segment graph has the wrong edge count"
-    assert max((g.degree(v) for v in range(g.n)), default=0) <= 2
-    assert len(connected_components(g)) == 1
-
-
 def path_permutation(first: int, length: int) -> tuple[int, ...]:
     """Arrange first..first+length-1 so that they induce a simple path.
 
     Values u < v are adjacent exactly when v appears before u, so the
     segment interleaves values to chain the whole range: lengths up to
     four are spelled out, longer segments zigzag with small fixups in
-    the last two slots depending on parity.  The result is gated by an
-    induced-path assertion, which turns any formula slip into a loud
-    failure instead of a silently broken gadget.
+    the last two slots depending on parity.  That the values induce a
+    path is checked once per gadget, on the whole forest, by
+    construct_px.
     """
     if length < 1:
         raise GraphError(
@@ -114,8 +104,8 @@ def path_permutation(first: int, length: int) -> tuple[int, ...]:
             else:
                 values.append(x if h == 2 else x + h - 3)
         seq = tuple(values)
-    assert sorted(seq) == list(range(x, y + 1))
-    _assert_path(_induced_segment_graph(seq, x))
+    if sorted(seq) != list(range(x, y + 1)):
+        raise AssertionError(f"segment is not a permutation of {x}..{y}")
     return seq
 
 
@@ -143,21 +133,23 @@ def forest_permutation(
 
 def _component_paths(
     g: Graph, segments: Sequence[ValueSegment]
-) -> list[tuple[int, ...]]:
-    """Each segment's vertices in path order, end to end."""
-    components = connected_components(g)
-    assert components == [
-        list(range(seg.first - 1, seg.last)) for seg in segments
-    ], "segments do not form one component each"
-    paths: list[tuple[int, ...]] = []
-    for comp in components:
-        walk = [min(v for v in comp if g.degree(v) <= 1)]
-        while len(walk) < len(comp):
-            ahead = [w for w in g.neighbors(walk[-1]) if w not in walk[-2:]]
-            assert len(ahead) == 1, "component is not a simple path"
+) -> Iterator[tuple[int, ...]]:
+    """Each segment's vertices in path order, end to end.
+
+    The walk starts at the smallest id of degree at most one in the
+    segment's range and stays in that range; on a wrong graph it may
+    stop short, which check_model then reports.
+    """
+    for seg in segments:
+        ids = range(seg.first - 1, seg.last)
+        walk = [v for v in ids if g.degree(v) <= 1][:1]
+        while walk and len(walk) < seg.size:
+            ahead = [w for w in g.neighbors(walk[-1])
+                     if w in ids and w not in walk[-2:]]
+            if len(ahead) != 1:
+                break
             walk.append(ahead[0])
-        paths.append(tuple(walk))
-    return paths
+        yield tuple(walk)
 
 
 def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
@@ -165,7 +157,8 @@ def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
 
     Components: n of order 2B - 3, then the fillers in decreasing
     order, m * m vertices in total.  Vertex v stands for value v + 1,
-    so each segment's vertices are a consecutive id range.
+    so each segment's vertices are a consecutive id range.  The graph
+    is checked against the segment model by gadget.check_model.
     """
     derived = derive_sets(instance)
     n = derived.n
@@ -178,12 +171,14 @@ def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
         else Segment("filler", j - n + 1, path)
         for j, path in enumerate(_component_paths(graph, values))
     )
-    return PermutationArtifact(
+    artifact = PermutationArtifact(
         derived=derived,
         segments=segments,
         graph=graph,
         permutation=permutation,
     )
+    check_model(artifact, "permutation does not give the segment paths")
+    return artifact
 
 
 def partition_to_schedule_pg(

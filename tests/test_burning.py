@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burnkit import burning
 from burnkit.burning import (
     BurningSchedule,
     assert_agreement,
@@ -260,6 +261,16 @@ class TestGreedy:
         graphs += [construct_ig(WORKED).graph, construct_px(WORKED).graph]
         for g in graphs:
             assert greedy_burn(g) == reference_greedy_burn(g)
+
+    def test_checks_its_own_schedule(self, monkeypatch):
+        farthest_first = burning._farthest_first
+
+        def drop_last_source(*args):
+            return BurningSchedule(farthest_first(*args).sources[:-1])
+
+        monkeypatch.setattr(burning, "_farthest_first", drop_last_source)
+        with pytest.raises(AssertionError, match="does not burn"):
+            greedy_burn(build_path(17))
 
     def test_reasonable_on_paths(self):
         # within the factor guaranteed by restarting at the center

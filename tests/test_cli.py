@@ -14,6 +14,15 @@ from burnkit.permutation_reduction import construct_px, write_permutation
 WORKED = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
 UNSOLVABLE = ThreePartitionInstance.of([11, 12, 13, 14, 15, 21])
 
+PERMUTATION_DEMO = (
+    "instance: 10 11 12 14 15 16\n"
+    "path forest gadget: 256 vertices, component orders "
+    "75 75 25 17 15 13 11 9 7 5 3 1\n"
+    "schedule burns everything in 16 rounds\n"
+    "exact search agrees: burning number = 16\n"
+    "extracted partition matches: 10 14 15; 11 12 16\n"
+)
+
 
 @pytest.fixture
 def instance_file(tmp_path):
@@ -116,6 +125,20 @@ class TestVerify:
         assert main(
             ["verify", "--graph", path9_file, "--schedule", str(sched)]
         ) == 1
+
+    def test_already_burnt_source_fails_with_its_round(
+        self, tmp_path, path9_file, capsys
+    ):
+        sched = tmp_path / "s.txt"
+        sched.write_text(write_schedule([4, 0, 5]))
+        assert main(
+            ["verify", "--graph", path9_file, "--schedule", str(sched)]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: source 5 of round 3 already burnt in round 2\n"
+        )
 
     def test_garbled_schedule_is_malformed(self, tmp_path, path9_file):
         sched = tmp_path / "s.txt"
@@ -349,14 +372,32 @@ class TestDemosAndDispatch:
 
     def test_permutation_demo(self, capsys):
         assert main(["--demo", "s6.3"]) == 0
-        assert capsys.readouterr().out == (
-            "instance: 10 11 12 14 15 16\n"
-            "path forest gadget: 256 vertices, component orders "
-            "75 75 25 17 15 13 11 9 7 5 3 1\n"
-            "schedule burns everything in 16 rounds\n"
-            "exact search agrees: burning number = 16\n"
-            "extracted partition matches: 10 14 15; 11 12 16\n"
-        )
+        assert capsys.readouterr().out == PERMUTATION_DEMO
+
+    def test_one_process_serves_a_mixed_sequence(
+        self, tmp_path, instance_file, capsys
+    ):
+        graph, witness = tmp_path / "p.graph", tmp_path / "w.txt"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 2 x\n")
+        triples = "triples = 10 14 15; 11 12 16\n"
+        calls = [
+            (["gen", "path", "--n", "9", "--out", str(graph)], 0,
+             f"wrote graph with 9 vertices and 8 edges to {graph}\n"),
+            (["reduce-ig", "--in", instance_file, "--witness", str(witness)],
+             0, "m = 16\nvertices = 1888\ntarget rounds = 33\n"
+             f"witness of 33 rounds written to {witness}\n"),
+            (["extract-ig", "--artifact", instance_file,
+              "--schedule", str(witness)], 0, triples),
+            (["3part", "--in", instance_file], 0, triples),
+            (["3part", "--in", str(bad)], 2, ""),
+            (["--demo", "s6.3"], 0, PERMUTATION_DEMO),
+            (["3part", "--in", instance_file, "--report", "json"], 0,
+             '{"solvable": true, "triples": [[10, 14, 15], [11, 12, 16]]}\n'),
+        ]
+        for argv, code, out in calls:
+            assert main(argv) == code, argv
+            assert capsys.readouterr().out == out, argv
 
     def test_no_command_prints_usage(self, capsys):
         assert main([]) == 2

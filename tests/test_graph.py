@@ -96,6 +96,26 @@ class TestBuilders:
         with pytest.raises(GraphError):
             build_permutation_graph(3, [1, 2, 2])
 
+    def test_permutation_graph_matches_pairwise_definition(self):
+        def pairwise(perm):
+            pos = {value: idx for idx, value in enumerate(perm)}
+            return Graph(len(perm), [
+                (i - 1, j - 1)
+                for i in range(1, len(perm) + 1)
+                for j in range(i + 1, len(perm) + 1)
+                if pos[j] < pos[i]
+            ])
+
+        rng = random.Random(17)
+        perms = [[1], list(range(1, 41)), list(range(40, 0, -1))]
+        for _ in range(150):
+            perm = list(range(1, rng.randint(1, 60) + 1))
+            rng.shuffle(perm)
+            perms.append(perm)
+        for perm in perms:
+            g = build_permutation_graph(len(perm), perm)
+            assert g == pairwise(perm), perm
+
 
 class TestDistances:
     def test_bfs_and_ball(self):

@@ -153,6 +153,18 @@ class TestConstruction:
         with pytest.raises(AssertionError, match="caterpillar"):
             construct_ig(TINY)
 
+    def test_self_check_rejects_a_moved_edge(self, monkeypatch):
+        # same edge count, so only the edge-by-edge comparison sees it
+        def move_last_edge(rep):
+            g = build_interval_graph(rep)
+            return Graph(g.n, [*list(g.edges())[:-1], (0, g.n - 1)])
+
+        monkeypatch.setattr(
+            interval_reduction, "build_interval_graph", move_last_edge
+        )
+        with pytest.raises(AssertionError, match="caterpillar"):
+            construct_ig(TINY)
+
 
 class TestForward:
     def test_worked_burns_in_exactly_33(self, worked_art):

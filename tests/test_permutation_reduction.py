@@ -11,7 +11,8 @@ from burnkit.errors import (
     InstanceError,
 )
 from burnkit.exact import exact_burning_number
-from burnkit.graph import build_permutation_graph, connected_components
+from burnkit import permutation_reduction
+from burnkit.graph import Graph, build_permutation_graph, connected_components
 from burnkit.partition import Partition3, ThreePartitionInstance
 from burnkit.permutation_reduction import (
     PermutationArtifact,
@@ -137,6 +138,35 @@ class TestConstructPx:
     def test_invalid_instance_rejected(self):
         with pytest.raises(InstanceError):
             construct_px(ThreePartitionInstance.of([2, 3, 4]))
+
+    def test_model_check_rejects_a_cut_end_vertex(self, monkeypatch):
+        # the walk of the cut segment stops short of the isolated end,
+        # and its rows still match; only the coverage rule sees it
+        def cut_end(size, perm):
+            g = build_permutation_graph(size, perm)
+            block = range(27)  # TINY's block holds vertices 0..26
+            end = max(v for v in block if g.degree(v) == 1)
+            edges = [e for e in g.edges() if end not in e]
+            return Graph(g.n, edges)
+
+        monkeypatch.setattr(
+            permutation_reduction, "build_permutation_graph", cut_end
+        )
+        with pytest.raises(AssertionError, match="segment paths"):
+            construct_px(TINY)
+
+    def test_model_check_rejects_an_edge_between_segments(
+        self, monkeypatch
+    ):
+        def join(size, perm):
+            g = build_permutation_graph(size, perm)
+            return Graph(g.n, [*g.edges(), (0, g.n - 1)])
+
+        monkeypatch.setattr(
+            permutation_reduction, "build_permutation_graph", join
+        )
+        with pytest.raises(AssertionError, match="segment paths"):
+            construct_px(TINY)
 
 
 class TestForward:
