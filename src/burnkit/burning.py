@@ -12,9 +12,7 @@ the ball-union form, and the two are cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import InputError, ScheduleError
 from .graph import (
@@ -26,6 +24,9 @@ from .graph import (
     connected_components,
     radical_center,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Cluster = frozenset[int]
 
@@ -59,13 +60,6 @@ class BurnOutcome:
     rounds_used: int
     complete: bool
     burn_round: tuple[int | None, ...]
-
-    def burned_by_round(self, t: int) -> frozenset[int]:
-        return frozenset(
-            v
-            for v, r in enumerate(self.burn_round)
-            if r is not None and r <= t
-        )
 
 
 def _coerce(schedule: BurningSchedule | Sequence[int]) -> tuple[int, ...]:
@@ -208,6 +202,8 @@ def _farthest_first(
     so these stay tied and above every real distance for n rounds.
     argmax returns the first maximum: the smallest id wins ties.
     """
+    import numpy as np  # loaded only by the burners that need it
+
     # int32 halves the memory traffic of the whole-array update
     field = np.full(n, 2 * n + 2, dtype=np.int32)
     planned_left = iter(planned)
@@ -229,6 +225,8 @@ def greedy_burn(g: Graph) -> BurningSchedule:
     far (unreached components count as infinitely far; smallest id breaks
     ties).  The schedule is checked with simulate before it is returned.
     """
+    import numpy as np
+
     largest = min(connected_components(g), key=lambda c: (-len(c), c[0]))
 
     def distances_from(x: int) -> np.ndarray:

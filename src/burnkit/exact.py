@@ -27,10 +27,12 @@ collapses placements that merely permute each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .burning import BurningSchedule, _walk_fire, greedy_burn
 from .errors import BudgetExceededError
-from .graph import Graph, UNREACHED, bfs_distances, connected_components
+from .graph import Graph, connected_components
 from .intmath import ceil_sqrt
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -63,14 +65,22 @@ class _Budget:
 
 
 class _Profile:
-    """Per-graph distance data shared by every attempted k.
+    """Per-graph ball data shared by every attempted k.
 
     masks[v][r] is the radius-r ball around v as a bitmask, stored up to
     radius_cap (or v's eccentricity, whichever is smaller); balls only
     plateau beyond the eccentricity, so the last entry stands in for any
     larger radius.  Mask bit positions are not vertex ids but ranks in a
     degree-then-id order, so that the search's pick-the-lowest-set-bit
-    step lands on the most constrained uncovered vertex first.
+    step lands on the most constrained uncovered vertex first.  Balls
+    grow by union, ball_{r+1}(v) = ball_r(v) | ball_r(w) over neighbours
+    w, so no BFS runs here: eccentricities come from the graph's memo.
+
+    maxball[r], the largest radius-r ball, is exact through radius_cap + 1
+    and past it overstated as the largest component.  That is enough:
+    exact_burning_number (radius_cap = ub - 2) reads radii below ub, and
+    can_burn_in (radius_cap = k - 1) decides k < lower_bound() on exact
+    values through radius k.
     """
 
     __slots__ = (
@@ -79,49 +89,25 @@ class _Profile:
 
     def __init__(self, g: Graph, radius_cap: int) -> None:
         n = g.n
+        adj = g.adjacency
         self.graph = g
         self.order = sorted(range(n), key=lambda v: (g.degree(v), v))
-        rank = [0] * n
+        ball = [0] * n
         for i, v in enumerate(self.order):
-            rank[v] = i
+            ball[v] = 1 << i
+        ecc = [g.eccentricity(v) for v in range(n)]
+        keep = [min(e, radius_cap) for e in ecc]
         self.components = connected_components(g)
-        comp_of = [0] * n
-        for ci, comp in enumerate(self.components):
-            for v in comp:
-                comp_of[v] = ci
-        self.diameters = [0] * len(self.components)
-        ball_sizes: list[int] = []
-        self.masks = []
-        for v in range(n):
-            row = bfs_distances(g, (v,))
-            ecc = max(d for d in row if d != UNREACHED)
-            ci = comp_of[v]
-            if ecc > self.diameters[ci]:
-                self.diameters[ci] = ecc
-            upto = min(ecc, max(radius_cap, 0))
-            buckets: list[list[int]] = [[] for _ in range(upto + 1)]
-            counts = [0] * (ecc + 1)
-            for u, d in enumerate(row):
-                if d == UNREACHED:
-                    continue
-                counts[d] += 1
-                if d <= upto:
-                    buckets[d].append(u)
-            acc = 0
-            vmasks = []
-            for r in range(upto + 1):
-                for u in buckets[r]:
-                    acc |= 1 << rank[u]
-                vmasks.append(acc)
-            self.masks.append(vmasks)
-            total = 0
-            for r, c in enumerate(counts):
-                total += c
-                if r == len(ball_sizes):
-                    ball_sizes.append(total)
-                elif total > ball_sizes[r]:
-                    ball_sizes[r] = total
-        self.maxball = ball_sizes
+        self.diameters = [max(ecc[v] for v in c) for c in self.components]
+        self.masks = [[b] for b in ball]
+        self.maxball = [1]
+        for r in range(1, min(radius_cap + 1, max(ecc)) + 1):
+            ball = [reduce(or_, [ball[w] for w in adj[v]], b)
+                    for v, b in enumerate(ball)]
+            for v, b in enumerate(ball):
+                if r <= keep[v]:
+                    self.masks[v].append(b)
+            self.maxball.append(max(map(int.bit_count, ball)))
 
     def maxball_at(self, radius: int) -> int:
         if radius < len(self.maxball):
@@ -171,7 +157,8 @@ def _realize(g: Graph, planned: list[int | None]) -> list[int]:
         return src
 
     _, _, burnt = _walk_fire(g, planned_or_smallest)
-    assert burnt == g.n, "cover failed to burn out during realization"
+    if burnt != g.n:
+        raise AssertionError("cover failed to burn out during realization")
     return schedule
 
 

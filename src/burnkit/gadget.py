@@ -174,7 +174,8 @@ def place_clusters(
     assert [t for t, _ in placed] == list(range(1, k + 1))
     schedule = BurningSchedule.of(center for _, center in placed)
     outcome = burning.simulate(artifact.graph, schedule)
-    assert outcome.complete and outcome.rounds_used == k
+    if not (outcome.complete and outcome.rounds_used == k):
+        raise AssertionError("placed clusters do not burn the whole gadget")
     return schedule
 
 
@@ -249,7 +250,8 @@ def read_off_partition(
     partition = settle_block_triples(
         sizes_by_segment, block_ids, fillers_desc
     )
-    assert threepart.verify_partition(artifact.derived.instance, partition)
+    if not threepart.verify_partition(artifact.derived.instance, partition):
+        raise AssertionError("read-off triples do not solve the instance")
     return partition
 
 

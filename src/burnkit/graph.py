@@ -18,11 +18,14 @@ VertexSet = frozenset[int]
 
 UNREACHED = -1
 
+# read_graph's cap on n, checked before allocating; 450x450 grids fit
+_MAX_READ_ORDER = 1_000_000
+
 
 class Graph:
     """Immutable simple undirected graph on vertex ids 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_m")
+    __slots__ = ("n", "_adj", "_m", "_ecc")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -47,6 +50,7 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(ns)) for ns in adj
         )
+        self._ecc: dict[int, int] = {}
 
     @property
     def m(self) -> int:
@@ -63,6 +67,14 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
+
+    def eccentricity(self, v: int) -> int:
+        """Greatest distance from v within its component; one BFS, kept."""
+        ecc = self._ecc.get(v)
+        if ecc is None:
+            # BFS leaves other components UNREACHED (-1), below any distance
+            ecc = self._ecc[v] = max(bfs_distances(self, (v,)))
+        return ecc
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -272,23 +284,16 @@ def is_connected(g: Graph) -> bool:
 
 
 def radical_center(g: Graph, component: Sequence[int] | None = None) -> int:
-    """Vertex of minimum eccentricity; smallest id wins ties.
+    """Vertex of minimum (memoised) eccentricity; smallest id wins ties.
 
-    With a component (its ids ascending), the search stays inside it;
-    without one, the graph must be connected.
+    With a component, the search stays inside it; without one, the graph
+    must be connected.
     """
     if component is None:
         if not is_connected(g):
             raise GraphError("radical center needs a connected graph")
         component = range(g.n)
-    best_v = component[0]
-    best_ecc = None
-    for v in component:
-        # BFS leaves other components UNREACHED (-1), below any distance
-        ecc = max(bfs_distances(g, (v,)))
-        if best_ecc is None or ecc < best_ecc:
-            best_v, best_ecc = v, ecc
-    return best_v
+    return min(component, key=lambda v: (g.eccentricity(v), v))
 
 
 # --- text formats -------------------------------------------------------
@@ -309,6 +314,9 @@ def read_graph(text: str) -> Graph:
         edges = [(int(a), int(b)) for a, b in rows[1:]]
     except ValueError as exc:
         raise GraphError(f"unparsable graph text: {exc}") from None
+    if n > _MAX_READ_ORDER:
+        raise GraphError(f"graph of {n} vertices exceeds the limit of "
+                         f"{_MAX_READ_ORDER}")
     if len(edges) != m:
         raise GraphError(f"header claims {m} edges, found {len(edges)}")
     for u, v in edges:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .burning import BurningSchedule, _farthest_first, simulate
 from .errors import InputError
 from .graph import build_grid
@@ -121,6 +119,8 @@ def burn_grid_2approx(grid: GridSpec) -> GridBurnReport:
     unburnt vertex until the fire covers everything.  The returned
     schedule is re-run through the generic simulator as a check.
     """
+    import numpy as np
+
     rows, cols = grid.rows, grid.cols
     rr = np.arange(rows, dtype=np.int32)[:, None]
     cc = np.arange(cols, dtype=np.int32)[None, :]
@@ -138,7 +138,8 @@ def burn_grid_2approx(grid: GridSpec) -> GridBurnReport:
     ]
     schedule = _farthest_first(grid.n, manhattan_from, planned)
     outcome = simulate(build_grid(rows, cols), schedule)
-    assert outcome.complete and outcome.rounds_used == len(schedule)
+    if not (outcome.complete and outcome.rounds_used == len(schedule)):
+        raise AssertionError("grid schedule does not burn the whole grid")
 
     lower = grid_lower_bound(grid)
     upper = upper_bound_formula(grid.side) if grid.is_square else None

@@ -172,7 +172,8 @@ def solve_3partition(
         frame[1], frame[2] = j, k
         i = node(top + 1)
     solution = Partition3.of(chosen)
-    assert verify_partition(instance, solution)
+    if not verify_partition(instance, solution):
+        raise AssertionError("solver triples do not solve the instance")
     return solution
 
 

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 
+import burnkit
 from burnkit.burning import BurningSchedule, simulate
 from burnkit.errors import ScheduleError
 from burnkit.graph import (
@@ -22,6 +27,19 @@ from burnkit.partition import (
     ThreePartitionInstance,
     validate_instance,
 )
+
+
+def run_python(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this burnkit."""
+    src = str(Path(burnkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def naive_burning_number(g: Graph) -> int:

@@ -60,9 +60,8 @@ class TestSimulate:
         g = build_path(9)
         out = simulate(g, [2, 6, 8])
         assert out.complete and out.rounds_used == 3
-        assert out.burned_by_round(1) == {2}
-        assert out.burned_by_round(2) == {1, 2, 3, 6}
-        assert out.burned_by_round(3) == set(range(9))
+        for t, burnt in ((1, {2}), (2, {1, 2, 3, 6}), (3, set(range(9)))):
+            assert {v for v, r in enumerate(out.burn_round) if r <= t} == burnt
 
     def test_burn_round_records_first_fire(self):
         out = simulate(build_path(9), [2, 6, 8])

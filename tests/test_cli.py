@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from burnkit import graph as graph_module
 from burnkit.burning import read_schedule, simulate, write_schedule
 from burnkit.cli import main
 from burnkit.graph import build_path, read_graph, write_graph
 from burnkit.interval_reduction import construct_ig
 from burnkit.partition import ThreePartitionInstance, write_instance
 from burnkit.permutation_reduction import construct_px, write_permutation
+from conftest import run_python
 
 WORKED = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
 UNSOLVABLE = ThreePartitionInstance.of([11, 12, 13, 14, 15, 21])
@@ -177,6 +179,21 @@ class TestGreedyAndExact:
             ["exact", "--graph", str(forest), "--budget", "10"]
         ) == 3
 
+    def test_oversized_graph_header_is_malformed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("a graph was allocated")
+
+        monkeypatch.setattr(graph_module, "Graph", refuse)
+        huge = tmp_path / "huge.graph"
+        huge.write_text("10000000000 0\n")
+        assert main(["exact", "--graph", str(huge)]) == 2
+        assert capsys.readouterr().err == (
+            "error: graph of 10000000000 vertices exceeds the limit "
+            f"of {graph_module._MAX_READ_ORDER}\n"
+        )
+
     def test_budget_env(self, tmp_path, monkeypatch, path9_file):
         forest = tmp_path / "f.graph"
         main(["gen", "forest", "--lengths",
@@ -185,6 +202,29 @@ class TestGreedyAndExact:
         assert main(["exact", "--graph", str(forest)]) == 3
         monkeypatch.setenv("BURN_BUDGET", "plenty")
         assert main(["exact", "--graph", path9_file]) == 2
+
+
+def test_commands_without_a_burner_leave_numpy_unloaded(
+    tmp_path, instance_file
+):
+    graph, sched = tmp_path / "p.graph", tmp_path / "s.txt"
+    sched.write_text("2 6 8\n")
+    script = f"""
+import sys
+from burnkit.cli import main
+assert "numpy" not in sys.modules
+for argv in (
+    ["gen", "path", "--n", "9", "--out", {str(graph)!r}],
+    ["3part", "--in", {instance_file!r}],
+    ["verify", "--graph", {str(graph)!r}, "--schedule", {str(sched)!r}],
+    ["reduce-ig", "--in", {instance_file!r}, "--witness", {str(sched)!r}],
+):
+    assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestGrid:

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from burnkit.burning import simulate
+from burnkit import burning, exact, graph
+from burnkit.burning import greedy_burn, simulate
 from burnkit.errors import BudgetExceededError
-from burnkit.exact import can_burn_in, exact_burning_number
+from burnkit.exact import _Profile, can_burn_in, exact_burning_number
 from burnkit.graph import (
     Graph,
+    bfs_distances,
     build_comb,
     build_grid,
     build_path,
@@ -76,6 +78,71 @@ class TestCanBurnIn:
         witness = can_burn_in(g, 8)
         assert witness is not None and len(witness) <= 8
         assert simulate(g, witness).complete
+
+    @pytest.mark.parametrize("g", [
+        build_grid(10, 10), build_comb(12), build_path_forest([7, 3, 5, 1]),
+    ])
+    def test_below_lower_bound_needs_no_search(self, g):
+        lb = _Profile(g, g.n).lower_bound()
+        assert lb > 2
+        for k in range(lb):
+            assert can_burn_in(g, k, node_budget=0) is None
+        # at the bound itself greedy is too long, so the search must run
+        assert len(greedy_burn(g)) > lb
+        with pytest.raises(BudgetExceededError):
+            can_burn_in(g, lb, node_budget=0)
+
+
+class TestProfile:
+    def test_balls_match_a_bfs_oracle(self):
+        rng = random.Random(606)
+        graphs = [build_comb(6), build_path_forest([4, 1, 6]), Graph(3, [])]
+        graphs += [
+            random_graph(rng, rng.randint(1, 16), rng.uniform(0.05, 0.3))
+            for _ in range(40)
+        ]
+        for g in graphs:
+            rows = [bfs_distances(g, (v,)) for v in range(g.n)]
+            ecc = [max(row) for row in rows]
+            for cap in range(-1, max(ecc) + 2):
+                p = _Profile(g, cap)
+                assert p.order == sorted(
+                    range(g.n), key=lambda v: (g.degree(v), v)
+                )
+                rank = {u: i for i, u in enumerate(p.order)}
+
+                def ball(v, r):
+                    return sum(1 << rank[u] for u, d in enumerate(rows[v])
+                               if 0 <= d <= r)
+
+                for v in range(g.n):
+                    assert p.masks[v] == [
+                        ball(v, r) for r in range(min(ecc[v], max(cap, 0)) + 1)
+                    ]
+                for r in range(max(ecc) + 2):
+                    biggest = max(ball(v, r).bit_count() for v in range(g.n))
+                    # exact as far as the search reads, never below beyond
+                    if r <= cap + 1:
+                        assert p.maxball_at(r) == biggest
+                    assert p.maxball_at(r) >= biggest
+                assert p.diameters == [
+                    max(ecc[v] for v in comp) for comp in p.components
+                ]
+
+    def test_one_all_pairs_pass(self, monkeypatch):
+        rounds = len(greedy_burn(build_path(50)))
+        real, calls = bfs_distances, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (graph, burning, exact):
+            if vars(module).get("bfs_distances") is real:
+                monkeypatch.setattr(module, "bfs_distances", counted)
+        exact_burning_number(build_path(50))
+        # one BFS per vertex for the eccentricities, one per greedy source
+        assert len(calls) == 50 + rounds
 
 
 class TestPinnedResults:

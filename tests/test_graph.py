@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from burnkit import graph as graph_module
 from burnkit.errors import GraphError
 from burnkit.graph import (
+    _MAX_READ_ORDER,
     Graph,
     IntervalRepresentation,
     bfs_distances,
@@ -141,6 +143,29 @@ class TestDistances:
         with pytest.raises(GraphError, match="connected"):
             radical_center(g)
 
+    def test_eccentricity_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(6)
+        for _ in range(40):
+            n = rng.randint(1, 25)
+            g = Graph(n, [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.12
+            ])
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            for v in range(n):
+                reach = nx.single_source_shortest_path_length(h, v)
+                assert g.eccentricity(v) == g.eccentricity(v) == max(
+                    reach.values()
+                )
+            for bad in (-1, n):
+                with pytest.raises(GraphError, match="out of range"):
+                    g.eccentricity(bad)
+
     def test_ball_distances_agree_with_bfs(self):
         g = build_grid(5, 5)
         full = bfs_distances(g, (12, 0))
@@ -172,6 +197,18 @@ class TestSerialization:
             read_graph("nonsense\n")
         with pytest.raises(GraphError):
             read_graph("2 1\n0 5\n")
+
+    def test_oversized_header_is_refused_before_allocation(self, monkeypatch):
+        def built(n, edges):
+            return ("built", n, list(edges))
+
+        monkeypatch.setattr(graph_module, "Graph", built)
+        at_limit = read_graph(f"{_MAX_READ_ORDER} 0\n")
+        assert at_limit == ("built", _MAX_READ_ORDER, [])
+        for n in (_MAX_READ_ORDER + 1, 10_000_000_000):
+            with pytest.raises(GraphError, match="exceeds the limit"):
+                read_graph(f"{n} 0\n")
+        assert _MAX_READ_ORDER >= 450 * 450
 
     def test_interval_round_trip(self):
         rep = IntervalRepresentation(((0, 2), (1, 3), (4, 5)))

@@ -7,19 +7,20 @@ with data that must fail it.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import burnkit
+from conftest import run_python
 
 SCRIPT = """
-from burnkit import burning, interval_reduction, permutation_reduction
+from dataclasses import replace
+
+from burnkit import (
+    burning, exact, gadget, grid, interval_reduction, partition,
+    permutation_reduction,
+)
 from burnkit.burning import BurningSchedule, greedy_burn
 from burnkit.gadget import settle_block_triples
 from burnkit.graph import Graph, build_path
-from burnkit.partition import ThreePartitionInstance
+from burnkit.grid import GridSpec, burn_grid_2approx
+from burnkit.partition import Partition3, ThreePartitionInstance
 
 if __debug__:
     raise SystemExit("asserts are on: run under python -O")
@@ -36,16 +37,27 @@ def expect(label, call):
         print(label, "went unchecked")
 
 
+def without_last_edge(g):
+    return Graph(g.n, list(g.edges())[:-1])
+
+
 def drop_last_edge(build):
-    def built(*args):
-        g = build(*args)
-        return Graph(g.n, list(g.edges())[:-1])
-    return built
+    return lambda *args: without_last_edge(build(*args))
 
 
 expect("settle", lambda: settle_block_triples(
     {0: [9, 11, 7], 1: [5, 3, 1]}, [0], [(1, 9)]
 ))
+expect("realize", lambda: exact._realize(build_path(5), [0]))
+SOLVED = partition.solve_3partition(TINY)
+ART = permutation_reduction.construct_px(TINY)
+CUT = replace(ART, graph=without_last_edge(ART.graph))
+expect("place", lambda: gadget.place_clusters(CUT, SOLVED))
+WITNESS = gadget.place_clusters(ART, SOLVED)
+settle = gadget.settle_block_triples
+gadget.settle_block_triples = lambda *args: Partition3.of([(4, 5, 7)])
+expect("read-off", lambda: gadget.read_off_partition(ART, WITNESS))
+gadget.settle_block_triples = settle
 interval_reduction.build_interval_graph = drop_last_edge(
     interval_reduction.build_interval_graph
 )
@@ -59,24 +71,26 @@ burning._farthest_first = lambda *args: BurningSchedule(
     farthest_first(*args).sources[:-1]
 )
 expect("greedy", lambda: greedy_burn(build_path(17)))
+grid._farthest_first = burning._farthest_first  # the truncating one
+expect("grid", lambda: burn_grid_2approx(GridSpec(5, 5)))
+# last: every caller of verify_partition now sees a refusal
+partition.verify_partition = lambda *args: False
+expect("solver", lambda: partition.solve_3partition(TINY))
 """
 
 
 def test_explicit_checks_raise_under_optimize():
-    src = str(Path(burnkit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", SCRIPT],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_python(SCRIPT, "-O")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "settle parity and the block sum force three",
+        "realize cover failed to burn out during realization",
+        "place placed clusters do not burn the whole gadget",
+        "read-off read-off triples do not solve the instance",
         "interval interval representation does not give the "
         "spine-plus-leaves caterpillar",
         "permutation permutation does not give the segment paths",
         "greedy greedy schedule does not burn the whole graph",
+        "grid grid schedule does not burn the whole grid",
+        "solver solver triples do not solve the instance",
     ]
