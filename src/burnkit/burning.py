@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import InputError, ScheduleError
+from .errors import InputError, InternalError, ScheduleError
 from .graph import (
     Graph,
-    UNREACHED,
     ball,
     ball_distances,
-    bfs_distances,
     connected_components,
     radical_center,
 )
@@ -190,17 +188,18 @@ def verify_schedule(
 
 
 def _farthest_first(
-    n: int, distances_from: Callable[[int], np.ndarray], planned: list[int]
+    n: int, relax: Callable[[int, np.ndarray], object], planned: list[int]
 ) -> BurningSchedule:
     """The farthest-first loop under greedy_burn and the grid burner.
 
-    field[v] is v's distance to the fire, 0 once burnt.  A round maps it
-    to min(max(field - 1, 0), distances_from(x)) for the lit source x.
+    field[v] is v's distance to the fire, 0 once burnt.  A round steps
+    it to max(field - 1, 0); relax(x, field) then lowers it in place to
+    the distance from the lit source x wherever that is smaller.
     Planned sources go first, a burnt one swapped for the farthest
     vertex; then the farthest burns until the field is all zero.  The
-    field starts at 2n + 2, the value oracles give unreachable vertices,
-    so these stay tied and above every real distance for n rounds.
-    argmax returns the first maximum: the smallest id wins ties.
+    field starts at 2n + 2, above every real distance for n rounds, and
+    vertices no source reaches stay tied there.  argmax returns the
+    first maximum: the smallest id wins ties.
     """
     import numpy as np  # loaded only by the burners that need it
 
@@ -213,7 +212,9 @@ def _farthest_first(
         if x is None or field[x] == 0:
             x = int(field.argmax())
         sources.append(x)
-        np.minimum(np.maximum(field - 1, 0), distances_from(x), out=field)
+        np.subtract(field, 1, out=field)
+        np.maximum(field, 0, out=field)
+        relax(x, field)
     return BurningSchedule.of(sources)
 
 
@@ -223,19 +224,36 @@ def greedy_burn(g: Graph) -> BurningSchedule:
     The first source is the radical center of the largest component, each
     later round picks the unburnt vertex farthest from everything burnt so
     far (unreached components count as infinitely far; smallest id breaks
-    ties).  The schedule is checked with simulate before it is returned.
+    ties).  Each source runs a BFS that expands a vertex only where it
+    lowers the field, so a round costs the region it takes over, not the
+    graph.  The schedule is checked with simulate before it is returned.
     """
-    import numpy as np
-
+    adj = g.adjacency
     largest = min(connected_components(g), key=lambda c: (-len(c), c[0]))
 
-    def distances_from(x: int) -> np.ndarray:
-        row = np.array(bfs_distances(g, (x,)), dtype=np.int32)
-        return np.where(row == UNREACHED, 2 * g.n + 2, row)
+    def relax(x: int, field: np.ndarray) -> None:
+        # Not ball_distances, which stops at one radius: this BFS stops
+        # per vertex, at w with d >= field[w].  That is exact because
+        # the field is 1-Lipschitz along edges: every vertex on a
+        # shortest path from x to a w it improves is improved too.
+        near = field.tolist()
+        near[x] = 0
+        took, layer, d = [x], [x], 0
+        while layer:
+            d += 1
+            grown = []
+            for u in layer:
+                for w in adj[u]:
+                    if d < near[w]:
+                        near[w] = d
+                        grown.append(w)
+            took += grown
+            layer = grown
+        field[took] = [near[w] for w in took]
 
-    sched = _farthest_first(g.n, distances_from, [radical_center(g, largest)])
+    sched = _farthest_first(g.n, relax, [radical_center(g, largest)])
     if not simulate(g, sched).complete:
-        raise AssertionError("greedy schedule does not burn the whole graph")
+        raise InternalError("greedy schedule does not burn the whole graph")
     return sched
 
 
@@ -255,7 +273,7 @@ def assert_agreement(
     except ScheduleError:
         by_rounds = None
     if by_union != by_rounds:
-        raise AssertionError(
+        raise InternalError(
             f"deciders disagree on {tuple(_coerce(schedule))}: "
             f"union={by_union} rounds={by_rounds}"
         )

@@ -4,8 +4,9 @@ One operation per invocation, line-oriented file formats, and stable
 exit codes so pipelines can script every workflow: 0 success, 1 a
 verification or extraction failure (including unsolvable instances
 when a witness was requested), 2 malformed input, 3 search budget
-exhausted.  BURN_BUDGET in the environment overrides the default
-search budget; an explicit --budget flag overrides both.
+exhausted, 4 an internal fault (a result failed burnkit's own check).
+BURN_BUDGET in the environment overrides the default search budget; an
+explicit --budget flag overrides both.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     BudgetExceededError,
     ExtractionError,
     InputError,
+    InternalError,
     ScheduleError,
 )
 from .exact import DEFAULT_NODE_BUDGET, exact_burning_number
@@ -60,7 +62,7 @@ from .permutation_reduction import (
     write_permutation,
 )
 
-OK, FAILED, MALFORMED, EXHAUSTED = 0, 1, 2, 3
+OK, FAILED, MALFORMED, EXHAUSTED, INTERNAL = 0, 1, 2, 3, 4
 
 WORKED_EXAMPLE = (10, 11, 12, 14, 15, 16)
 
@@ -365,7 +367,8 @@ def _demo(kind: str, *, show_solution: bool, cross_check: bool) -> int:
     inst = read_instance(" ".join(str(a) for a in WORKED_EXAMPLE))
     print("instance:", " ".join(str(a) for a in inst.elements))
     partition = solve_3partition(inst)
-    assert partition is not None
+    if partition is None:
+        raise InternalError("the worked example has no 3-partition")
     if show_solution:
         print("solution:", _triples_text(partition))
     art = gadget.construct(inst)
@@ -374,7 +377,9 @@ def _demo(kind: str, *, show_solution: bool, cross_check: bool) -> int:
     print(f"schedule burns everything in {len(sched)} rounds")
     if cross_check:
         result = exact_burning_number(art.graph)
-        assert result.k == art.target_rounds
+        if result.k != art.target_rounds:
+            raise InternalError(f"exact search gives {result.k} rounds, "
+                                f"the gadget decides at {art.target_rounds}")
         print(f"exact search agrees: burning number = {result.k}")
     back = gadget.reverse(art, sched)
     print("extracted partition matches:", _triples_text(back))
@@ -488,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return MALFORMED
         return args.func(args)
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return INTERNAL
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXHAUSTED

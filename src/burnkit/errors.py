@@ -35,6 +35,12 @@ class BudgetExceededError(BurnkitError):
         self.nodes_explored = nodes_explored
 
 
+class InternalError(BurnkitError, AssertionError):
+    """A result failed the check of the function that built it: a fault
+    in burnkit, not in its input.  Raised explicitly, so python -O keeps
+    every such check; still an AssertionError for callers that catch one."""
+
+
 class ExtractionError(BurnkitError):
     """A schedule handed to a reverse mapping fails its preconditions."""
 

@@ -31,12 +31,14 @@ from functools import reduce
 from operator import or_
 
 from .burning import BurningSchedule, _walk_fire, greedy_burn
-from .errors import BudgetExceededError
-from .graph import Graph, connected_components
+from .errors import BudgetExceededError, InternalError
+from .graph import Graph, center_and_diameter, connected_components
 from .intmath import ceil_sqrt
 
 DEFAULT_NODE_BUDGET = 2_000_000
 _MEMO_CAP = 500_000
+# _Profile's cap on n * n * (stored radii) mask bits, about 1 GiB
+_MAX_MASK_BITS = 2**33
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,24 @@ class _Profile:
     """Per-graph ball data shared by every attempted k.
 
     masks[v][r] is the radius-r ball around v as a bitmask, stored up to
-    radius_cap (or v's eccentricity, whichever is smaller); balls only
-    plateau beyond the eccentricity, so the last entry stands in for any
-    larger radius.  Mask bit positions are not vertex ids but ranks in a
-    degree-then-id order, so that the search's pick-the-lowest-set-bit
-    step lands on the most constrained uncovered vertex first.  Balls
-    grow by union, ball_{r+1}(v) = ball_r(v) | ball_r(w) over neighbours
-    w, so no BFS runs here: eccentricities come from the graph's memo.
+    radius_cap or until the ball stops growing, at v's eccentricity,
+    whichever comes first; balls only plateau beyond that, so the last
+    entry stands in for any larger radius.  Mask bit positions are not
+    vertex ids but ranks in a degree-then-id order, so that the search's
+    pick-the-lowest-set-bit step lands on the most constrained uncovered
+    vertex first.  Balls grow by union, ball_{r+1}(v) = ball_r(v) |
+    ball_r(w) over neighbours w, so no BFS runs per vertex: each
+    component's diameter comes from graph.center_and_diameter.
 
     maxball[r], the largest radius-r ball, is exact through radius_cap + 1
     and past it overstated as the largest component.  That is enough:
     exact_burning_number (radius_cap = ub - 2) reads radii below ub, and
     can_burn_in (radius_cap = k - 1) decides k < lower_bound() on exact
     values through radius k.
+
+    Masks take up to n bits for each vertex and stored radius; a graph
+    whose masks could pass _MAX_MASK_BITS is refused with
+    BudgetExceededError before any is built.
     """
 
     __slots__ = (
@@ -91,22 +98,32 @@ class _Profile:
         n = g.n
         adj = g.adjacency
         self.graph = g
+        self.components = connected_components(g)
+        self.diameters = [
+            center_and_diameter(g, c)[1] for c in self.components
+        ]
+        diameter = max(self.diameters)
+        bits = n * n * (min(radius_cap, diameter) + 1)
+        if bits > _MAX_MASK_BITS:
+            raise BudgetExceededError(
+                f"ball masks of up to {bits} bits exceed the limit of "
+                f"{_MAX_MASK_BITS}",
+                nodes_explored=0,
+            )
         self.order = sorted(range(n), key=lambda v: (g.degree(v), v))
         ball = [0] * n
         for i, v in enumerate(self.order):
             ball[v] = 1 << i
-        ecc = [g.eccentricity(v) for v in range(n)]
-        keep = [min(e, radius_cap) for e in ecc]
-        self.components = connected_components(g)
-        self.diameters = [max(ecc[v] for v in c) for c in self.components]
         self.masks = [[b] for b in ball]
         self.maxball = [1]
-        for r in range(1, min(radius_cap + 1, max(ecc)) + 1):
-            ball = [reduce(or_, [ball[w] for w in adj[v]], b)
-                    for v, b in enumerate(ball)]
-            for v, b in enumerate(ball):
-                if r <= keep[v]:
-                    self.masks[v].append(b)
+        for r in range(1, min(radius_cap + 1, diameter) + 1):
+            grown = [reduce(or_, [ball[w] for w in adj[v]], b)
+                     for v, b in enumerate(ball)]
+            if r <= radius_cap:
+                for v, b in enumerate(grown):
+                    if b != ball[v]:
+                        self.masks[v].append(b)
+            ball = grown
             self.maxball.append(max(map(int.bit_count, ball)))
 
     def maxball_at(self, radius: int) -> int:
@@ -158,7 +175,7 @@ def _realize(g: Graph, planned: list[int | None]) -> list[int]:
 
     _, _, burnt = _walk_fire(g, planned_or_smallest)
     if burnt != g.n:
-        raise AssertionError("cover failed to burn out during realization")
+        raise InternalError("cover failed to burn out during realization")
     return schedule
 
 

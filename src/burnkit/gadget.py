@@ -30,6 +30,7 @@ from .burning import BurningSchedule
 from .errors import (
     ExtractionError,
     InstanceError,
+    InternalError,
     NotOptimalShapedError,
     ScheduleError,
 )
@@ -61,7 +62,8 @@ def derive_sets(instance: ThreePartitionInstance) -> DerivedSets:
     shifted = tuple(sorted(2 * a - 1 for a in instance.elements))
     used = set(shifted)
     fillers = tuple(s for s in range(2 * m - 1, 0, -2) if s not in used)
-    assert sum(shifted) + sum(fillers) == m * m
+    if sum(shifted) + sum(fillers) != m * m:
+        raise InternalError("shifted elements and fillers do not sum to m**2")
     return DerivedSets(
         instance=instance,
         m=m,
@@ -124,7 +126,7 @@ class GadgetArtifact:
 
 
 def check_model(artifact: GadgetArtifact, mismatch: str) -> None:
-    """Raise AssertionError(mismatch) unless the graph is the model's.
+    """Raise InternalError(mismatch) unless the graph is the model's.
 
     The model joins consecutive vertices of each model path, and each
     leaf to its host.  It must name every vertex exactly once: a path
@@ -140,7 +142,7 @@ def check_model(artifact: GadgetArtifact, mismatch: str) -> None:
     if (sorted(named) != list(range(len(adj)))
             or artifact.graph.m != len(edges)
             or not all(v in adj[u] for u, v in edges)):
-        raise AssertionError(mismatch)
+        raise InternalError(mismatch)
 
 
 def place_clusters(
@@ -168,14 +170,17 @@ def place_clusters(
             radius = (size - 1) // 2
             placed.append((k - radius, seg.vertices[offset + radius]))
             offset += size
-        assert offset == seg.size
+        if offset != seg.size:
+            raise InternalError(f"clusters of sizes {sizes} do not tile a "
+                                f"segment of {seg.size}")
 
     placed.sort()
-    assert [t for t, _ in placed] == list(range(1, k + 1))
+    if [t for t, _ in placed] != list(range(1, k + 1)):
+        raise InternalError(f"cluster rounds are not 1..{k}")
     schedule = BurningSchedule.of(center for _, center in placed)
     outcome = burning.simulate(artifact.graph, schedule)
     if not (outcome.complete and outcome.rounds_used == k):
-        raise AssertionError("placed clusters do not burn the whole gadget")
+        raise InternalError("placed clusters do not burn the whole gadget")
     return schedule
 
 
@@ -251,7 +256,7 @@ def read_off_partition(
         sizes_by_segment, block_ids, fillers_desc
     )
     if not threepart.verify_partition(artifact.derived.instance, partition):
-        raise AssertionError("read-off triples do not solve the instance")
+        raise InternalError("read-off triples do not solve the instance")
     return partition
 
 
@@ -284,7 +289,7 @@ def settle_block_triples(
                 sizes_by_bin[si] = [want]
                 break
         else:
-            raise AssertionError(
+            raise InternalError(
                 f"size-{want} cluster missing from every block"
             )
 
@@ -292,6 +297,6 @@ def settle_block_triples(
     for bi in block_ids:
         sizes = sorted(sizes_by_bin[bi])
         if len(sizes) != 3:
-            raise AssertionError("parity and the block sum force three")
+            raise InternalError("parity and the block sum force three")
         triples.append(tuple((s + 1) // 2 for s in sizes))
     return Partition3.of(triples)

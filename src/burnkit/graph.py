@@ -10,9 +10,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import GraphError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VertexSet = frozenset[int]
 
@@ -25,7 +28,7 @@ _MAX_READ_ORDER = 1_000_000
 class Graph:
     """Immutable simple undirected graph on vertex ids 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_m", "_ecc")
+    __slots__ = ("n", "_adj", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -50,7 +53,6 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(ns)) for ns in adj
         )
-        self._ecc: dict[int, int] = {}
 
     @property
     def m(self) -> int:
@@ -67,14 +69,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
-
-    def eccentricity(self, v: int) -> int:
-        """Greatest distance from v within its component; one BFS, kept."""
-        ecc = self._ecc.get(v)
-        if ecc is None:
-            # BFS leaves other components UNREACHED (-1), below any distance
-            ecc = self._ecc[v] = max(bfs_distances(self, (v,)))
-        return ecc
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -283,8 +277,56 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
+def center_and_diameter(
+    g: Graph, component: Sequence[int]
+) -> tuple[int, int]:
+    """Vertex of least eccentricity (smallest id on ties) and diameter.
+
+    An exact eccentricity-bound search (Takes and Kosters, 2013): a BFS
+    from u gives ecc(u), and for every v at distance d from u it bounds
+    max(d, ecc(u) - d) <= ecc(v) <= ecc(u) + d.  BFS runs alternate
+    between the likeliest centre (least lower bound, smallest id) and
+    the likeliest diameter end (greatest upper bound), and stop once the
+    least (lower bound, id) is an exact eccentricity and no upper bound
+    exceeds the greatest lower bound.  A handful of runs settles paths,
+    trees and grids; a graph whose vertices all share one eccentricity,
+    such as a cycle, needs n.  The vertex list must be exactly one
+    component, or GraphError is raised.
+    """
+    import numpy as np  # loaded only where a centre or diameter is needed
+
+    ids = np.array(sorted(component), dtype=np.intp)
+
+    def distances_from(u: int) -> np.ndarray:
+        return np.array(bfs_distances(g, (int(ids[u]),)), dtype=np.int32)
+
+    row = distances_from(0)
+    if not np.array_equal(np.flatnonzero(row != UNREACHED), ids):
+        raise GraphError("centre search needs exactly one component")
+    lo = np.zeros(len(ids), dtype=np.int32)
+    # above any ecc(u) + d, so the first diameter pick is the farthest
+    hi = np.full(len(ids), 2 * len(ids), dtype=np.int32)
+    toward_centre = False  # the first run, from ids[0], took the centre turn
+    while True:
+        d = row[ids]
+        e = d.max()
+        np.maximum(lo, np.maximum(d, e - d), out=lo)
+        np.minimum(hi, e + d, out=hi)
+        c = int(lo.argmin())  # the first minimum: smallest id
+        centre_open = lo[c] != hi[c]
+        diameter_open = lo.max() != hi.max()
+        if not (centre_open or diameter_open):
+            return int(ids[c]), int(lo.max())
+        if centre_open and (toward_centre or not diameter_open):
+            u = c
+        else:
+            u = int(hi.argmax())
+        toward_centre = not toward_centre
+        row = distances_from(u)
+
+
 def radical_center(g: Graph, component: Sequence[int] | None = None) -> int:
-    """Vertex of minimum (memoised) eccentricity; smallest id wins ties.
+    """Vertex of minimum eccentricity; smallest id wins ties.
 
     With a component, the search stays inside it; without one, the graph
     must be connected.
@@ -293,7 +335,7 @@ def radical_center(g: Graph, component: Sequence[int] | None = None) -> int:
         if not is_connected(g):
             raise GraphError("radical center needs a connected graph")
         component = range(g.n)
-    return min(component, key=lambda v: (g.eccentricity(v), v))
+    return center_and_diameter(g, component)[0]
 
 
 # --- text formats -------------------------------------------------------

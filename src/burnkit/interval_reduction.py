@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .burning import BurningSchedule
+from .errors import InternalError
 from .gadget import (
     DerivedSets,
     GadgetArtifact,
@@ -84,7 +85,9 @@ def _segment_layout(d: DerivedSets) -> tuple[Segment, ...]:
         vertices = tuple(range(start, start + size))
         segments.append(Segment(kind, index, vertices))
         start += size
-    assert start == (2 * m + 1) ** 2
+    if start != (2 * m + 1) ** 2:
+        raise InternalError(f"segments fill {start} spine vertices, not "
+                            f"(2m + 1)**2 = {(2 * m + 1) ** 2}")
     return tuple(segments)
 
 
@@ -116,7 +119,11 @@ def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
     )
     check_model(artifact, "interval representation does not give the "
                 "spine-plus-leaves caterpillar")
-    assert artifact.graph.n == 7 * derived.m**2 + 6 * derived.m
+    if artifact.graph.n != 7 * derived.m**2 + 6 * derived.m:
+        raise InternalError(
+            f"caterpillar has {artifact.graph.n} vertices, not "
+            f"7m**2 + 6m = {7 * derived.m**2 + 6 * derived.m}"
+        )
     return artifact
 
 

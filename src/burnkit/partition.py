@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BudgetExceededError, InstanceError
+from .errors import BudgetExceededError, InstanceError, InternalError
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -173,7 +173,7 @@ def solve_3partition(
         i = node(top + 1)
     solution = Partition3.of(chosen)
     if not verify_partition(instance, solution):
-        raise AssertionError("solver triples do not solve the instance")
+        raise InternalError("solver triples do not solve the instance")
     return solution
 
 

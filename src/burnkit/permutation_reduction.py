@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .burning import BurningSchedule
-from .errors import GraphError, InstanceError
+from .errors import GraphError, InstanceError, InternalError
 from .gadget import (
     GadgetArtifact,
     Segment,
@@ -105,7 +105,7 @@ def path_permutation(first: int, length: int) -> tuple[int, ...]:
                 values.append(x if h == 2 else x + h - 3)
         seq = tuple(values)
     if sorted(seq) != list(range(x, y + 1)):
-        raise AssertionError(f"segment is not a permutation of {x}..{y}")
+        raise InternalError(f"segment is not a permutation of {x}..{y}")
     return seq
 
 
@@ -165,7 +165,11 @@ def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
     lengths = [derived.shifted_target] * n + list(derived.fillers)
     permutation, values = forest_permutation(lengths)
     graph = build_permutation_graph(len(permutation), permutation)
-    assert graph.n == derived.m**2
+    if graph.n != derived.m**2:
+        raise InternalError(
+            f"permutation graph has {graph.n} vertices, not m**2 = "
+            f"{derived.m**2}"
+        )
     segments = tuple(
         Segment("block", j + 1, path) if j < n
         else Segment("filler", j - n + 1, path)

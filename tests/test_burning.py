@@ -241,6 +241,17 @@ class TestGreedy:
             )
             assert greedy_burn(g) == reference_greedy_burn(g)
 
+    def test_matches_reference_on_forests_with_isolated_vertices(self):
+        # the field-bounded BFS never leaves its component, so the other
+        # components keep their start value and stay tied for farthest
+        rng = random.Random(88)
+        for _ in range(60):
+            n = rng.randint(1, 60)
+            edges = [(rng.randrange(v), v) for v in range(1, n)
+                     if rng.random() < 0.7]
+            g = Graph(n + rng.randint(0, 5), edges)
+            assert greedy_burn(g) == reference_greedy_burn(g)
+
     def test_matches_reference_on_random_trees(self):
         rng = random.Random(17)
         for _ in range(30):

@@ -4,8 +4,14 @@ import json
 
 import pytest
 
+from burnkit import burning, exact
 from burnkit import graph as graph_module
-from burnkit.burning import read_schedule, simulate, write_schedule
+from burnkit.burning import (
+    BurningSchedule,
+    read_schedule,
+    simulate,
+    write_schedule,
+)
 from burnkit.cli import main
 from burnkit.graph import build_path, read_graph, write_graph
 from burnkit.interval_reduction import construct_ig
@@ -192,6 +198,29 @@ class TestGreedyAndExact:
         assert capsys.readouterr().err == (
             "error: graph of 10000000000 vertices exceeds the limit "
             f"of {graph_module._MAX_READ_ORDER}\n"
+        )
+
+    def test_oversized_masks_exhaust_before_search(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(exact, "_MAX_MASK_BITS", 1000)
+        path = tmp_path / "path40.graph"
+        path.write_text(write_graph(build_path(40)))
+        assert main(["exact", "--graph", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: ball masks of up to "
+        )
+
+    def test_internal_fault_exits_4(self, monkeypatch, path9_file, capsys):
+        farthest_first = burning._farthest_first
+
+        def drop_last_source(*args):
+            return BurningSchedule(farthest_first(*args).sources[:-1])
+
+        monkeypatch.setattr(burning, "_farthest_first", drop_last_source)
+        assert main(["greedy", "--graph", path9_file]) == 4
+        assert capsys.readouterr().err == (
+            "error: internal: greedy schedule does not burn the whole graph\n"
         )
 
     def test_budget_env(self, tmp_path, monkeypatch, path9_file):

@@ -129,8 +129,7 @@ class TestProfile:
                     max(ecc[v] for v in comp) for comp in p.components
                 ]
 
-    def test_one_all_pairs_pass(self, monkeypatch):
-        rounds = len(greedy_burn(build_path(50)))
+    def test_no_bfs_per_vertex(self, monkeypatch):
         real, calls = bfs_distances, []
 
         def counted(*args):
@@ -140,9 +139,31 @@ class TestProfile:
         for module in (graph, burning, exact):
             if vars(module).get("bfs_distances") is real:
                 monkeypatch.setattr(module, "bfs_distances", counted)
+        graph.radical_center(build_path(50))
+        centre_runs = len(calls)
+        assert 0 < centre_runs <= 4
+        calls.clear()
+        greedy_burn(build_path(50))
+        # greedy's later sources run their own field-bounded BFS
+        assert len(calls) == centre_runs
+        calls.clear()
         exact_burning_number(build_path(50))
-        # one BFS per vertex for the eccentricities, one per greedy source
-        assert len(calls) == 50 + rounds
+        # the greedy bound's centre and the profile's diameter, no more
+        assert len(calls) <= 10
+
+    def test_oversized_masks_are_refused(self, monkeypatch):
+        g = build_path(50)
+        cap = len(greedy_burn(g)) - 2  # exact_burning_number's radius cap
+        # the limit holds exactly the masks of radii 0..cap on 50 vertices
+        monkeypatch.setattr(exact, "_MAX_MASK_BITS", 50 * 50 * (cap + 1))
+        assert exact_burning_number(g).k == 8
+        with pytest.raises(BudgetExceededError, match="ball masks") as exc:
+            exact._Profile(g, radius_cap=cap + 1)
+        assert exc.value.nodes_explored == 0
+        with pytest.raises(BudgetExceededError, match="ball masks"):
+            exact_burning_number(build_path(51))
+        # radii past the diameter store nothing, so they count for nothing
+        assert exact._Profile(Graph(50, []), radius_cap=60).masks[0] == [1]
 
 
 class TestPinnedResults:

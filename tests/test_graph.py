@@ -19,6 +19,7 @@ from burnkit.graph import (
     build_path,
     build_path_forest,
     build_permutation_graph,
+    center_and_diameter,
     connected_components,
     is_connected,
     radical_center,
@@ -143,7 +144,7 @@ class TestDistances:
         with pytest.raises(GraphError, match="connected"):
             radical_center(g)
 
-    def test_eccentricity_matches_networkx(self):
+    def test_center_and_diameter_match_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(6)
         for _ in range(40):
@@ -157,14 +158,15 @@ class TestDistances:
             h = nx.Graph()
             h.add_nodes_from(range(n))
             h.add_edges_from(g.edges())
-            for v in range(n):
-                reach = nx.single_source_shortest_path_length(h, v)
-                assert g.eccentricity(v) == g.eccentricity(v) == max(
-                    reach.values()
+            for comp in connected_components(g):
+                ecc = nx.eccentricity(h.subgraph(comp))
+                assert center_and_diameter(g, comp) == (
+                    min(comp, key=lambda v: (ecc[v], v)),
+                    max(ecc.values()),
                 )
             for bad in (-1, n):
                 with pytest.raises(GraphError, match="out of range"):
-                    g.eccentricity(bad)
+                    center_and_diameter(g, [bad])
 
     def test_ball_distances_agree_with_bfs(self):
         g = build_grid(5, 5)
@@ -174,6 +176,58 @@ class TestDistances:
             want = {v: d for v, d in enumerate(full) if d <= radius}
             assert got == want
             assert ball(g, (12, 0), radius) == set(want)
+
+
+def _brute_centre_and_diameter(g, comp):
+    ecc = {v: max(bfs_distances(g, (v,))) for v in comp}
+    return min(comp, key=lambda v: (ecc[v], v)), max(ecc.values())
+
+
+class TestCentreAndDiameter:
+    """center_and_diameter against one BFS per vertex, per component."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(808)
+        yield Graph(1, [])
+        yield Graph(6, [])
+        for n in range(2, 32):  # odd and even: the middle tie on even ones
+            yield build_path(n)
+            yield Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        for n in range(2, 9):
+            yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                yield build_grid(rows, cols)
+        for spine in (1, 2, 5, 12):
+            yield build_comb(spine)
+        yield build_path_forest([4, 1, 7, 2])
+        for _ in range(60):
+            n = rng.randint(1, 80)
+            yield Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+        for _ in range(60):  # mostly disconnected at these densities
+            n = rng.randint(1, 40)
+            p = rng.choice([0.03, 0.06, 0.1, 0.3])
+            yield Graph(n, [(u, v) for u in range(n)
+                            for v in range(u + 1, n) if rng.random() < p])
+
+    def test_matches_brute_force(self):
+        for g in self.graphs():
+            for comp in connected_components(g):
+                assert center_and_diameter(g, comp) == (
+                    _brute_centre_and_diameter(g, comp)
+                ), (g.n, list(g.edges()), comp)
+
+    def test_path_middle_tie_goes_to_smaller_id(self):
+        assert center_and_diameter(build_path(10), range(10)) == (4, 9)
+        assert center_and_diameter(build_path(9), range(9)) == (4, 8)
+        assert radical_center(build_path(2)) == 0
+
+    def test_refuses_a_part_of_a_component(self):
+        g = build_path_forest([3, 6])
+        for part in ([0, 1], [0, 1, 2, 3], [3, 4, 5, 6, 7, 8, 8]):
+            with pytest.raises(GraphError, match="one component"):
+                center_and_diameter(g, part)
 
 
 class TestSerialization:

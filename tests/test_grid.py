@@ -168,6 +168,12 @@ class TestHeuristicBurner:
             assert report.rounds_used <= 2 * report.lower_bound, spec
             assert report.ratio == report.rounds_used / report.lower_bound
 
+    def test_square_grids_stay_within_twice_the_lower_bound(self):
+        # the factor 2 is a square-grid claim; the worst side here is 11
+        worst = max(burn_grid_2approx(GridSpec(s, s)).ratio
+                    for s in range(1, 81))
+        assert worst <= 2
+
     def test_square_reports_carry_upper_bound(self):
         report = burn_grid_2approx(GridSpec(9, 9))
         assert report.upper_bound == upper_bound_formula(9)

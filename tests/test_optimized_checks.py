@@ -1,8 +1,8 @@
 """Checks that carry weight must survive `python -O`.
 
-Each one raises AssertionError explicitly rather than through an
-`assert` statement.  One optimized subprocess drives every such check
-with data that must fail it.
+Each one raises InternalError, an AssertionError, explicitly rather
+than through an `assert` statement.  One optimized subprocess drives
+every such check with data that must fail it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from burnkit import (
     permutation_reduction,
 )
 from burnkit.burning import BurningSchedule, greedy_burn
+from burnkit.errors import InternalError
 from burnkit.gadget import settle_block_triples
 from burnkit.graph import Graph, build_path
 from burnkit.grid import GridSpec, burn_grid_2approx
@@ -31,7 +32,7 @@ TINY = ThreePartitionInstance.of([4, 5, 6])
 def expect(label, call):
     try:
         call()
-    except AssertionError as exc:
+    except InternalError as exc:
         print(label, exc)
     else:
         print(label, "went unchecked")
@@ -66,6 +67,10 @@ permutation_reduction.build_permutation_graph = drop_last_edge(
     permutation_reduction.build_permutation_graph
 )
 expect("permutation", lambda: permutation_reduction.construct_px(TINY))
+permutation_reduction.build_permutation_graph = (
+    lambda size, perm: Graph(size + 1, [])
+)
+expect("order", lambda: permutation_reduction.construct_px(TINY))
 farthest_first = burning._farthest_first
 burning._farthest_first = lambda *args: BurningSchedule(
     farthest_first(*args).sources[:-1]
@@ -90,6 +95,7 @@ def test_explicit_checks_raise_under_optimize():
         "interval interval representation does not give the "
         "spine-plus-leaves caterpillar",
         "permutation permutation does not give the segment paths",
+        "order permutation graph has 37 vertices, not m**2 = 36",
         "greedy greedy schedule does not burn the whole graph",
         "grid grid schedule does not burn the whole grid",
         "solver solver triples do not solve the instance",
