@@ -228,8 +228,13 @@ def greedy_burn(g: Graph) -> BurningSchedule:
     lowers the field, so a round costs the region it takes over, not the
     graph.  The schedule is checked with simulate before it is returned.
     """
-    adj = g.adjacency
     largest = min(connected_components(g), key=lambda c: (-len(c), c[0]))
+    return _greedy_from(g, radical_center(g, largest))
+
+
+def _greedy_from(g: Graph, first: int) -> BurningSchedule:
+    """greedy_burn's farthest-first run from a given first source."""
+    adj = g.adjacency
 
     def relax(x: int, field: np.ndarray) -> None:
         # Not ball_distances, which stops at one radius: this BFS stops
@@ -251,7 +256,7 @@ def greedy_burn(g: Graph) -> BurningSchedule:
             layer = grown
         field[took] = [near[w] for w in took]
 
-    sched = _farthest_first(g.n, relax, [radical_center(g, largest)])
+    sched = _farthest_first(g.n, relax, [first])
     if not simulate(g, sched).complete:
         raise InternalError("greedy schedule does not burn the whole graph")
     return sched

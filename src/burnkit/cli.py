@@ -4,7 +4,7 @@ One operation per invocation, line-oriented file formats, and stable
 exit codes so pipelines can script every workflow: 0 success, 1 a
 verification or extraction failure (including unsolvable instances
 when a witness was requested), 2 malformed input, 3 search budget
-exhausted, 4 an internal fault (a result failed burnkit's own check).
+exhausted, 4 an internal fault: a failed self-check or any other error.
 BURN_BUDGET in the environment overrides the default search budget; an
 explicit --budget flag overrides both.
 """
@@ -207,16 +207,13 @@ def _grid_payload(report) -> dict:
     }
 
 
-def _grid_report_for(side: int):
-    return burn_grid_2approx(GridSpec(side, side))
-
-
 def _cmd_grid(args: argparse.Namespace) -> int:
     if args.sweep:
         if args.jobs is not None and args.jobs < 1:
             raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+        specs = [GridSpec(side, side) for side in args.sweep]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_grid_report_for, args.sweep))
+            reports = list(pool.map(burn_grid_2approx, specs))
         for report in reports:
             payload = _grid_payload(report)
             del payload["schedule"]
@@ -505,6 +502,10 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
+    except Exception as exc:  # a fault in burnkit, not in its input
+        kind = type(exc).__name__
+        print(f"error: internal: {kind}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -26,11 +26,13 @@ collapses placements that merely permute each other.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from operator import or_
 
-from .burning import BurningSchedule, _walk_fire, greedy_burn
+from .burning import BurningSchedule, _greedy_from, _walk_fire
 from .errors import BudgetExceededError, InternalError
 from .graph import Graph, center_and_diameter, connected_components
 from .intmath import ceil_sqrt
@@ -77,33 +79,38 @@ class _Profile:
     pick-the-lowest-set-bit step lands on the most constrained uncovered
     vertex first.  Balls grow by union, ball_{r+1}(v) = ball_r(v) |
     ball_r(w) over neighbours w, so no BFS runs per vertex: each
-    component's diameter comes from graph.center_and_diameter.
+    component's diameter comes from one graph.center_and_diameter call,
+    the largest's from the greedy bound's.
 
     maxball[r], the largest radius-r ball, is exact through radius_cap + 1
-    and past it overstated as the largest component.  That is enough:
-    exact_burning_number (radius_cap = ub - 2) reads radii below ub, and
-    can_burn_in (radius_cap = k - 1) decides k < lower_bound() on exact
-    values through radius k.
+    and past it overstated as the largest component.  caps[j], the most
+    vertices balls of radii 0..j can cover, is kept through radius_cap,
+    so the coverage bound reads radius_cap + 2 wherever it is larger.
+    That is enough: exact_burning_number (radius_cap = ub - 2) reads radii
+    below ub, and can_burn_in (radius_cap = k - 1) decides
+    k < lower_bound() on exact values through radius k.
 
     Masks take up to n bits for each vertex and stored radius; a graph
     whose masks could pass _MAX_MASK_BITS is refused with
     BudgetExceededError before any is built.
     """
 
-    __slots__ = (
-        "graph", "order", "masks", "maxball", "components", "diameters"
-    )
+    __slots__ = ("graph", "order", "masks", "maxball", "largest", "caps",
+                 "components", "comp_mask", "diameters")
 
-    def __init__(self, g: Graph, radius_cap: int) -> None:
+    def __init__(self, g: Graph, components: list[list[int]],
+                 largest: list[int], diameter: int, radius_cap: int) -> None:
         n = g.n
         adj = g.adjacency
         self.graph = g
-        self.components = connected_components(g)
+        self.components = components
+        self.largest = len(largest)
         self.diameters = [
-            center_and_diameter(g, c)[1] for c in self.components
+            diameter if c is largest else center_and_diameter(g, c)[1]
+            for c in components
         ]
-        diameter = max(self.diameters)
-        bits = n * n * (min(radius_cap, diameter) + 1)
+        widest = max(self.diameters)  # no ball grows past this radius
+        bits = n * n * (min(radius_cap, widest) + 1)
         if bits > _MAX_MASK_BITS:
             raise BudgetExceededError(
                 f"ball masks of up to {bits} bits exceed the limit of "
@@ -114,9 +121,14 @@ class _Profile:
         ball = [0] * n
         for i, v in enumerate(self.order):
             ball[v] = 1 << i
+        self.comp_mask = [0] * n
+        for comp in components:
+            acc = reduce(or_, [ball[v] for v in comp])
+            for v in comp:
+                self.comp_mask[v] = acc
         self.masks = [[b] for b in ball]
         self.maxball = [1]
-        for r in range(1, min(radius_cap + 1, diameter) + 1):
+        for r in range(1, min(radius_cap + 1, widest) + 1):
             grown = [reduce(or_, [ball[w] for w in adj[v]], b)
                      for v, b in enumerate(ball)]
             if r <= radius_cap:
@@ -125,33 +137,31 @@ class _Profile:
                         self.masks[v].append(b)
             ball = grown
             self.maxball.append(max(map(int.bit_count, ball)))
+        self.caps = list(accumulate(map(self.maxball_at,
+                                        range(radius_cap + 1))))
 
     def maxball_at(self, radius: int) -> int:
         if radius < len(self.maxball):
             return self.maxball[radius]
-        return max(len(comp) for comp in self.components)
-
-    def coverage_caps(self, k: int) -> list[int]:
-        """caps[j] = most vertices coverable by balls of radii 0..j."""
-        caps = []
-        total = 0
-        for r in range(k):
-            total += self.maxball_at(r)
-            caps.append(total)
-        return caps
+        return self.largest
 
     def lower_bound(self) -> int:
         """Largest of the coverage, diameter, and component-count bounds."""
-        n = self.graph.n
-        lb = len(self.components)
-        for diam in self.diameters:
-            # staggered balls laid along a diametral path cover at most
-            # (2k - 1) + (2k - 3) + ... + 1 = k**2 of its diam + 1 vertices
-            lb = max(lb, ceil_sqrt(diam + 1))
-        k = 1
-        while self.coverage_caps(k)[-1] < n:
-            k += 1
-        return max(lb, k)
+        # staggered balls laid along a diametral path cover at most
+        # (2k - 1) + (2k - 3) + ... + 1 = k**2 of its diam + 1 vertices
+        return max(len(self.components), ceil_sqrt(max(self.diameters) + 1),
+                   bisect_left(self.caps, self.graph.n) + 1)
+
+
+def _greedy_bound(
+    g: Graph,
+) -> tuple[BurningSchedule, list[list[int]], list[int], int]:
+    """greedy_burn(g), with the components, the largest one and its
+    diameter that it finds on the way."""
+    components = connected_components(g)
+    largest = min(components, key=lambda c: (-len(c), c[0]))
+    centre, diameter = center_and_diameter(g, largest)
+    return _greedy_from(g, centre), components, largest, diameter
 
 
 def _realize(g: Graph, planned: list[int | None]) -> list[int]:
@@ -181,21 +191,14 @@ def _realize(g: Graph, planned: list[int | None]) -> list[int]:
 
 def _search(
     profile: _Profile, k: int, budget: _Budget
-) -> list[int | None] | None:
+) -> BurningSchedule | None:
     n = profile.graph.n
     order = profile.order
     rows = profile.masks
     mb = [profile.maxball_at(r) for r in range(k)]
-    comp_mask = [0] * n
-    for comp in profile.components:
-        acc = 0
-        for v in comp:
-            acc |= rows[v][0]
-        for v in comp:
-            comp_mask[v] = acc
+    comp_mask = profile.comp_mask
     by_radius: list[int | None] = [None] * k
     failed: set[tuple[int, int]] = set()
-    full_cap = profile.coverage_caps(k)[-1]
     spend = budget.spend
 
     def dfs(uncovered: int, radii: int, cap: int, active: int) -> bool:
@@ -254,19 +257,11 @@ def _search(
             failed.add(key)
         return False
 
-    if dfs((1 << n) - 1, (1 << k) - 1, full_cap, 0):
+    if dfs((1 << n) - 1, (1 << k) - 1, profile.caps[k - 1], 0):
         # radius r acts in round k - r
-        return [by_radius[k - t] for t in range(1, k + 1)]
+        planned = [by_radius[k - t] for t in range(1, k + 1)]
+        return BurningSchedule.of(_realize(profile.graph, planned))
     return None
-
-
-def _attempt(
-    profile: _Profile, k: int, budget: _Budget
-) -> BurningSchedule | None:
-    planned = _search(profile, k, budget)
-    if planned is None:
-        return None
-    return BurningSchedule.of(_realize(profile.graph, planned))
 
 
 def can_burn_in(
@@ -279,13 +274,13 @@ def can_burn_in(
     """
     if k < 1:
         return None
-    heuristic = greedy_burn(g)
+    heuristic, *census = _greedy_bound(g)
     if len(heuristic) <= k:
         return heuristic
-    profile = _Profile(g, radius_cap=k - 1)
+    profile = _Profile(g, *census, radius_cap=k - 1)
     if k < profile.lower_bound():
         return None
-    return _attempt(profile, k, _Budget(node_budget))
+    return _search(profile, k, _Budget(node_budget))
 
 
 def exact_burning_number(
@@ -297,16 +292,14 @@ def exact_burning_number(
     k = lower bound, lower bound + 1, ... under one shared node budget
     until a witness appears or the ladder meets the greedy bound.
     """
-    heuristic = greedy_burn(g)
+    heuristic, *census = _greedy_bound(g)
     ub = len(heuristic)
-    profile = _Profile(g, radius_cap=ub - 2)
+    profile = _Profile(g, *census, radius_cap=ub - 2)
     budget = _Budget(node_budget)
-    k = profile.lower_bound()
-    while k < ub:
-        witness = _attempt(profile, k, budget)
+    for k in range(profile.lower_bound(), ub):
+        witness = _search(profile, k, budget)
         if witness is not None:
             return ExactResult(
                 k=len(witness), witness=witness, nodes_explored=budget.used
             )
-        k += 1
     return ExactResult(k=ub, witness=heuristic, nodes_explored=budget.used)

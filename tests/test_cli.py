@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from burnkit import burning, exact
+from burnkit import burning, cli, exact
 from burnkit import graph as graph_module
 from burnkit.burning import (
     BurningSchedule,
@@ -13,7 +13,12 @@ from burnkit.burning import (
     write_schedule,
 )
 from burnkit.cli import main
-from burnkit.graph import build_path, read_graph, write_graph
+from burnkit.graph import (
+    build_path,
+    build_path_forest,
+    read_graph,
+    write_graph,
+)
 from burnkit.interval_reduction import construct_ig
 from burnkit.partition import ThreePartitionInstance, write_instance
 from burnkit.permutation_reduction import construct_px, write_permutation
@@ -223,6 +228,27 @@ class TestGreedyAndExact:
             "error: internal: greedy schedule does not burn the whole graph\n"
         )
 
+    def test_unexpected_exception_exits_4(self, tmp_path, capsys):
+        # 1,000 components put the search at k = 1,000, one stack frame
+        # per round, past Python's default recursion limit
+        forest = tmp_path / "forest.graph"
+        forest.write_text(write_graph(build_path_forest([3] * 999 + [1])))
+        assert main(["exact", "--graph", str(forest)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: RecursionError: ")
+        assert captured.err.count("\n") == 1
+
+    def test_exact_out_holds_the_printed_schedule(
+        self, tmp_path, path9_file, capsys
+    ):
+        out = tmp_path / "s.txt"
+        assert main(["exact", "--graph", path9_file, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == "k = 3"
+        assert printed[1] == "schedule = " + out.read_text().rstrip("\n")
+        assert out.read_text().count("\n") == 1
+
     def test_budget_env(self, tmp_path, monkeypatch, path9_file):
         forest = tmp_path / "f.graph"
         main(["gen", "forest", "--lengths",
@@ -285,6 +311,24 @@ class TestGrid:
         payloads = [json.loads(line) for line in lines]
         assert [p["rows"] for p in payloads] == [5, 9]
         assert all("schedule" not in p for p in payloads)
+
+    def test_out_holds_the_printed_schedule(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        assert main(["grid", "--rows", "6", "--cols", "7", "--out", str(out),
+                     "--report", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert out.read_text() == write_schedule(payload["schedule"])
+
+    def test_sweep_refuses_a_zero_side_before_any_worker_starts(
+        self, monkeypatch, capsys
+    ):
+        started = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                            lambda **kwargs: started.append(kwargs))
+        assert main(["grid", "--sweep", "3", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid sides must be positive, got 0x0\n"
+        assert captured.out == "" and started == []
 
     def test_rows_required_without_sweep(self):
         assert main(["grid", "--rows", "5"]) == 2

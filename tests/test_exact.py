@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -20,6 +21,26 @@ from burnkit.graph import (
 from burnkit.partition import ThreePartitionInstance
 from burnkit.permutation_reduction import construct_px
 from conftest import naive_burning_number, random_graph
+
+
+def profile(g: Graph, radius_cap: int) -> _Profile:
+    """_Profile from the census the greedy bound takes, at any radius cap."""
+    _, *census = exact._greedy_bound(g)
+    return _Profile(g, *census, radius_cap=radius_cap)
+
+
+def count_calls(monkeypatch, name: str) -> list[tuple]:
+    """Record the arguments of every call to graph.<name>, at every binding."""
+    real, calls = getattr(graph, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (graph, burning, exact):
+        if vars(module).get(name) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestPaths:
@@ -83,7 +104,7 @@ class TestCanBurnIn:
         build_grid(10, 10), build_comb(12), build_path_forest([7, 3, 5, 1]),
     ])
     def test_below_lower_bound_needs_no_search(self, g):
-        lb = _Profile(g, g.n).lower_bound()
+        lb = profile(g, g.n).lower_bound()
         assert lb > 2
         for k in range(lb):
             assert can_burn_in(g, k, node_budget=0) is None
@@ -105,7 +126,7 @@ class TestProfile:
             rows = [bfs_distances(g, (v,)) for v in range(g.n)]
             ecc = [max(row) for row in rows]
             for cap in range(-1, max(ecc) + 2):
-                p = _Profile(g, cap)
+                p = profile(g, cap)
                 assert p.order == sorted(
                     range(g.n), key=lambda v: (g.degree(v), v)
                 )
@@ -130,15 +151,7 @@ class TestProfile:
                 ]
 
     def test_no_bfs_per_vertex(self, monkeypatch):
-        real, calls = bfs_distances, []
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        for module in (graph, burning, exact):
-            if vars(module).get("bfs_distances") is real:
-                monkeypatch.setattr(module, "bfs_distances", counted)
+        calls = count_calls(monkeypatch, "bfs_distances")
         graph.radical_center(build_path(50))
         centre_runs = len(calls)
         assert 0 < centre_runs <= 4
@@ -148,8 +161,45 @@ class TestProfile:
         assert len(calls) == centre_runs
         calls.clear()
         exact_burning_number(build_path(50))
-        # the greedy bound's centre and the profile's diameter, no more
-        assert len(calls) <= 10
+        # one centre search gives greedy's centre and the profile's diameter
+        assert len(calls) == centre_runs == 3
+        calls.clear()
+        # every vertex of a cycle has the same eccentricity
+        exact_burning_number(Graph(60, [(i, (i + 1) % 60) for i in range(60)]))
+        assert len(calls) == 60
+
+    def test_one_census_per_call(self, monkeypatch):
+        g = build_path_forest([9, 4, 1])
+        each_once = sorted((g, c) for c in graph.connected_components(g))
+        components = count_calls(monkeypatch, "connected_components")
+        centres = count_calls(monkeypatch, "center_and_diameter")
+        for run in (
+            lambda: exact_burning_number(g),
+            lambda: can_burn_in(g, 4),  # greedy takes 5, the search 4
+            lambda: can_burn_in(g, 3),  # below the bound
+        ):
+            components.clear()
+            centres.clear()
+            run()
+            assert components == [(g,)]
+            assert sorted(centres) == each_once
+
+    def test_a_greedy_fit_stays_in_the_largest_component(self, monkeypatch):
+        # two largest components: greedy_burn starts in the first, 5..13
+        g = build_path_forest([5, 9, 3, 9])
+        heuristic = greedy_burn(g)
+        calls = count_calls(monkeypatch, "bfs_distances")
+        graph.radical_center(g, range(5, 14))
+        centre_runs = len(calls)
+        calls.clear()
+
+        def no_masks(*args, **kwargs):
+            raise AssertionError("greedy fits, yet ball masks were built")
+
+        monkeypatch.setattr(exact, "_Profile", no_masks)
+        assert can_burn_in(g, len(heuristic)) == heuristic
+        assert len(calls) == centre_runs == 3
+        assert all(5 <= sources[0] < 14 for _, sources in calls)
 
     def test_oversized_masks_are_refused(self, monkeypatch):
         g = build_path(50)
@@ -158,12 +208,12 @@ class TestProfile:
         monkeypatch.setattr(exact, "_MAX_MASK_BITS", 50 * 50 * (cap + 1))
         assert exact_burning_number(g).k == 8
         with pytest.raises(BudgetExceededError, match="ball masks") as exc:
-            exact._Profile(g, radius_cap=cap + 1)
+            profile(g, cap + 1)
         assert exc.value.nodes_explored == 0
         with pytest.raises(BudgetExceededError, match="ball masks"):
             exact_burning_number(build_path(51))
         # radii past the diameter store nothing, so they count for nothing
-        assert exact._Profile(Graph(50, []), radius_cap=60).masks[0] == [1]
+        assert profile(Graph(50, []), 60).masks[0] == [1]
 
 
 class TestPinnedResults:
@@ -233,3 +283,14 @@ class TestLargerInstances:
                 (base + u, base + v) for u in range(4) for v in range(u + 1, 4)
             ]
         assert exact_burning_number(Graph(12, edges)).k == 4
+
+    def test_a_thousand_components_in_one_bounding_pass(self):
+        # 1,000 paths of 3 take a round each and one more, which greedy
+        # meets, so no search runs; the time limit catches a lower bound
+        # that costs k**2 * components steps (tens of seconds here)
+        g = build_path_forest([3] * 1000)
+        start = time.perf_counter()
+        res = exact_burning_number(g)
+        elapsed = time.perf_counter() - start
+        assert (res.k, res.nodes_explored) == (1001, 0)
+        assert elapsed < 8.0  # 0.5-0.7 s on one x86 core

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,19 @@ from burnkit.partition import (
     write_instance,
 )
 from conftest import random_solvable_instance
+
+
+def brute_force_solvable(elements: tuple[int, ...], b: int) -> bool:
+    """Oracle: the first element tries every pair of the rest."""
+    if not elements:
+        return True
+    first, rest = elements[0], elements[1:]
+    for i, j in itertools.combinations(range(len(rest)), 2):
+        if first + rest[i] + rest[j] == b:
+            left = tuple(a for t, a in enumerate(rest) if t not in (i, j))
+            if brute_force_solvable(left, b):
+                return True
+    return False
 
 
 class TestValidation:
@@ -109,6 +123,47 @@ class TestSolver:
         instance, _known = random_solvable_instance(rng, 1500)
         found = solve_3partition(instance)
         assert found is not None and verify_partition(instance, found)
+
+    def test_backtracks_out_of_a_failed_pair(self):
+        # 37 first takes 24 + 21, which leaves 36 no pair (it skips the
+        # used 24); undoing that pair for 23 + 22 solves it in 5 nodes,
+        # where a straight descent takes 4
+        inst = ThreePartitionInstance.of([21, 22, 23, 24, 25, 26, 32, 36, 37])
+        assert solve_3partition(inst, node_budget=5) == Partition3.of(
+            [(21, 25, 36), (22, 23, 37), (24, 26, 32)]
+        )
+        with pytest.raises(BudgetExceededError):
+            solve_3partition(inst, node_budget=4)
+
+    def test_unsolvable_after_a_descent(self):
+        inst = ThreePartitionInstance.of([23, 24, 25, 26, 28, 32, 33, 34, 36])
+        assert not brute_force_solvable(inst.elements, inst.target)
+        assert solve_3partition(inst) is None
+
+    def test_small_instances_match_a_brute_force_oracle(self):
+        rng = random.Random(97)
+        outcomes = set()
+        for _ in range(300):
+            planted, _known = random_solvable_instance(
+                rng, rng.randint(1, 4), slack=rng.randint(1, 6)
+            )
+            els = list(planted.elements)
+            # move one unit between two elements: the sum stays, the
+            # planted solution usually breaks
+            i, j = rng.sample(range(len(els)), 2)
+            els[i] += 1
+            els[j] -= 1
+            for inst in (planted, ThreePartitionInstance.of(els)):
+                try:
+                    validate_instance(inst)
+                except InstanceError:
+                    continue
+                found = solve_3partition(inst)
+                expected = brute_force_solvable(inst.elements, inst.target)
+                assert (found is not None) == expected, inst
+                assert found is None or verify_partition(inst, found)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_shuffling_does_not_change_solvability(self):
         rng = random.Random(2718)
