@@ -12,7 +12,7 @@ the ball-union form, and the two are cross-checked in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, InternalError, ScheduleError
 from .graph import (
@@ -22,9 +22,6 @@ from .graph import (
     connected_components,
     radical_center,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Cluster = frozenset[int]
 
@@ -187,37 +184,6 @@ def verify_schedule(
     return len(covered) == g.n
 
 
-def _farthest_first(
-    n: int, relax: Callable[[int, np.ndarray], object], planned: list[int]
-) -> BurningSchedule:
-    """The farthest-first loop under greedy_burn and the grid burner.
-
-    field[v] is v's distance to the fire, 0 once burnt.  A round steps
-    it to max(field - 1, 0); relax(x, field) then lowers it in place to
-    the distance from the lit source x wherever that is smaller.
-    Planned sources go first, a burnt one swapped for the farthest
-    vertex; then the farthest burns until the field is all zero.  The
-    field starts at 2n + 2, above every real distance for n rounds, and
-    vertices no source reaches stay tied there.  argmax returns the
-    first maximum: the smallest id wins ties.
-    """
-    import numpy as np  # loaded only by the burners that need it
-
-    # int32 halves the memory traffic of the whole-array update
-    field = np.full(n, 2 * n + 2, dtype=np.int32)
-    planned_left = iter(planned)
-    sources = []
-    while field.any():
-        x = next(planned_left, None)
-        if x is None or field[x] == 0:
-            x = int(field.argmax())
-        sources.append(x)
-        np.subtract(field, 1, out=field)
-        np.maximum(field, 0, out=field)
-        relax(x, field)
-    return BurningSchedule.of(sources)
-
-
 def greedy_burn(g: Graph) -> BurningSchedule:
     """Farthest-first heuristic burn; returns a complete valid schedule.
 
@@ -225,38 +191,49 @@ def greedy_burn(g: Graph) -> BurningSchedule:
     later round picks the unburnt vertex farthest from everything burnt so
     far (unreached components count as infinitely far; smallest id breaks
     ties).  Each source runs a BFS that expands a vertex only where it
-    lowers the field, so a round costs the region it takes over, not the
-    graph.  The schedule is checked with simulate before it is returned.
+    brings that vertex's burn round forward, so the BFS costs the region
+    it takes over, not the graph.  The schedule is checked with simulate
+    before it is returned.
     """
     largest = min(connected_components(g), key=lambda c: (-len(c), c[0]))
     return _greedy_from(g, radical_center(g, largest))
 
 
 def _greedy_from(g: Graph, first: int) -> BurningSchedule:
-    """greedy_burn's farthest-first run from a given first source."""
-    adj = g.adjacency
+    """greedy_burn's farthest-first run from a given first source.
 
-    def relax(x: int, field: np.ndarray) -> None:
+    burns_at[v] is the round in which v catches fire given the sources
+    so far.  It starts at 2n + 2, above every real burn time, so the
+    vertices no source reaches stay tied there.  Each later round lights
+    the first vertex of latest burn time, the smallest id on ties, and
+    the run ends once everything burns by the current round.
+    """
+    adj = g.adjacency
+    burns_at = [2 * g.n + 2] * g.n
+    sources = []
+    x, t = first, 1
+    while True:
+        sources.append(x)
+        burns_at[x] = t
         # Not ball_distances, which stops at one radius: this BFS stops
-        # per vertex, at w with d >= field[w].  That is exact because
-        # the field is 1-Lipschitz along edges: every vertex on a
-        # shortest path from x to a w it improves is improved too.
-        near = field.tolist()
-        near[x] = 0
-        took, layer, d = [x], [x], 0
+        # per vertex, at w with at >= burns_at[w].  That is exact
+        # because burns_at is 1-Lipschitz along edges: every vertex on
+        # a shortest path from x to a w it improves is improved too.
+        layer, at = [x], t
         while layer:
-            d += 1
+            at += 1
             grown = []
             for u in layer:
                 for w in adj[u]:
-                    if d < near[w]:
-                        near[w] = d
+                    if at < burns_at[w]:
+                        burns_at[w] = at
                         grown.append(w)
-            took += grown
             layer = grown
-        field[took] = [near[w] for w in took]
-
-    sched = _farthest_first(g.n, relax, [first])
+        last = max(burns_at)
+        if last <= t:
+            break
+        x, t = burns_at.index(last), t + 1
+    sched = BurningSchedule.of(sources)
     if not simulate(g, sched).complete:
         raise InternalError("greedy schedule does not burn the whole graph")
     return sched

@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -212,6 +211,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         if args.jobs is not None and args.jobs < 1:
             raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         specs = [GridSpec(side, side) for side in args.sweep]
+        # imported here: only the sweep starts workers
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(burn_grid_2approx, specs))
         for report in reports:

@@ -10,12 +10,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 VertexSet = frozenset[int]
 
@@ -295,20 +292,21 @@ def center_and_diameter(
     """
     import numpy as np  # loaded only where a centre or diameter is needed
 
-    ids = np.array(sorted(component), dtype=np.intp)
-
-    def distances_from(u: int) -> np.ndarray:
-        return np.array(bfs_distances(g, (int(ids[u]),)), dtype=np.int32)
-
-    row = distances_from(0)
-    if not np.array_equal(np.flatnonzero(row != UNREACHED), ids):
+    ids = sorted(component)
+    dist = bfs_distances(g, ids[:1])
+    # one whole component: distinct vertices of g, as many as the BFS
+    # from the first one reached, and each of them reached
+    if (ids[-1] >= g.n or len(set(ids)) != len(ids)
+            or dist.count(UNREACHED) != g.n - len(ids)
+            or any(dist[v] == UNREACHED for v in ids)):
         raise GraphError("centre search needs exactly one component")
     lo = np.zeros(len(ids), dtype=np.int32)
     # above any ecc(u) + d, so the first diameter pick is the farthest
     hi = np.full(len(ids), 2 * len(ids), dtype=np.int32)
     toward_centre = False  # the first run, from ids[0], took the centre turn
     while True:
-        d = row[ids]
+        # only the component's entries go to numpy, not all n
+        d = np.array([dist[v] for v in ids], dtype=np.int32)
         e = d.max()
         np.maximum(lo, np.maximum(d, e - d), out=lo)
         np.minimum(hi, e + d, out=hi)
@@ -316,13 +314,13 @@ def center_and_diameter(
         centre_open = lo[c] != hi[c]
         diameter_open = lo.max() != hi.max()
         if not (centre_open or diameter_open):
-            return int(ids[c]), int(lo.max())
+            return ids[c], int(lo.max())
         if centre_open and (toward_centre or not diameter_open):
             u = c
         else:
             u = int(hi.argmax())
         toward_centre = not toward_centre
-        row = distances_from(u)
+        dist = bfs_distances(g, (ids[u],))
 
 
 def radical_center(g: Graph, component: Sequence[int] | None = None) -> int:

@@ -5,9 +5,9 @@ grids, where the paper proves it; thin grids can exceed that factor
 against grid_lower_bound.
 
 Grid vertices use row-major ids, matching build_grid.  The heuristic
-runs the farthest-first engine of burning.py, whose distance-to-fire
-field is updated by whole-array steps; on a grid each round lowers it
-to the Manhattan distance from the new source, so no round needs a
+keeps each vertex's burn round in one numpy array.  On a grid a source
+lit in round t caps each vertex's round at t plus its Manhattan
+distance from the source, one whole-array step, so no round needs a
 BFS.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .burning import BurningSchedule, _farthest_first, simulate
+from .burning import BurningSchedule, simulate
 from .errors import InputError, InternalError
 from .graph import build_grid
 from .intmath import ceil_pow23
@@ -133,23 +133,31 @@ def burn_grid_2approx(grid: GridSpec) -> GridBurnReport:
     rows, cols = grid.rows, grid.cols
     rr = np.arange(rows, dtype=np.int32)[:, None]
     cc = np.arange(cols, dtype=np.int32)[None, :]
-
-    def manhattan_from(x: int) -> np.ndarray:
-        r, c = divmod(x, cols)
-        return (np.abs(rr - r) + np.abs(cc - c)).ravel()
-
     h, w = subgrid_dims(grid)
-    planned = [
+    planned = (
         (r0 + (min(h, rows - r0) - 1) // 2) * cols
         + c0 + (min(w, cols - c0) - 1) // 2
         for r0 in range(0, rows, h)
         for c0 in range(0, cols, w)
-    ]
-    schedule = _farthest_first(
-        grid.n,
-        lambda x, field: np.minimum(field, manhattan_from(x), out=field),
-        planned,
     )
+    # burns_at[v] is the round in which v catches fire given the sources
+    # so far; 2n + 2 is above every real burn time.  int32 halves the
+    # memory traffic of the whole-array steps.
+    burns_at = np.full(grid.n, 2 * grid.n + 2, dtype=np.int32)
+    sources: list[int] = []
+    while True:
+        t = len(sources)
+        far = int(burns_at.argmax())  # the first maximum: smallest id
+        if burns_at[far] <= t:
+            break
+        x = next(planned, None)
+        if x is None or burns_at[x] <= t:
+            x = far
+        sources.append(x)
+        r, c = divmod(x, cols)
+        reach = np.abs(rr - r) + (np.abs(cc - c) + (t + 1))
+        np.minimum(burns_at, reach.ravel(), out=burns_at)
+    schedule = BurningSchedule.of(sources)
     outcome = simulate(build_grid(rows, cols), schedule)
     if not (outcome.complete and outcome.rounds_used == len(schedule)):
         raise InternalError("grid schedule does not burn the whole grid")

@@ -273,12 +273,9 @@ class TestGreedy:
             assert greedy_burn(g) == reference_greedy_burn(g)
 
     def test_checks_its_own_schedule(self, monkeypatch):
-        farthest_first = burning._farthest_first
-
-        def drop_last_source(*args):
-            return BurningSchedule(farthest_first(*args).sources[:-1])
-
-        monkeypatch.setattr(burning, "_farthest_first", drop_last_source)
+        # the check is handed the schedule without its last source
+        monkeypatch.setattr(burning, "simulate",
+                            lambda g, sched: simulate(g, sched.sources[:-1]))
         with pytest.raises(AssertionError, match="does not burn"):
             greedy_burn(build_path(17))
 

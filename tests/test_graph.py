@@ -225,9 +225,12 @@ class TestCentreAndDiameter:
 
     def test_refuses_a_part_of_a_component(self):
         g = build_path_forest([3, 6])
-        for part in ([0, 1], [0, 1, 2, 3], [3, 4, 5, 6, 7, 8, 8]):
+        for part in ([0, 1], [0, 1, 2, 3], [3, 4, 5, 6, 7, 8, 8],
+                     [0, 0, 1], [0, 1, 3], [0, 1, 9]):
             with pytest.raises(GraphError, match="one component"):
                 center_and_diameter(g, part)
+        with pytest.raises(GraphError, match="no sources"):
+            center_and_diameter(g, [])
 
 
 class TestSerialization:

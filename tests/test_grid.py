@@ -192,6 +192,8 @@ class TestHeuristicBurner:
         (7, 7, 6, "0bd8b1c818e18092"),
         (10, 13, 9, "df614db7fcd303a7"),
         (200, 200, 57, "a0a22573f09e3f80"),
+        (250, 250, 69, "4fe226dc9905622c"),
+        (1, 600, 26, "3b17ae146362f225"),
     ])
     def test_pinned_schedules(self, rows, cols, rounds, digest):
         report = burn_grid_2approx(GridSpec(rows, cols))

@@ -16,7 +16,7 @@ from burnkit import (
     burning, exact, gadget, grid, interval_reduction, partition,
     permutation_reduction,
 )
-from burnkit.burning import BurningSchedule, greedy_burn
+from burnkit.burning import greedy_burn
 from burnkit.errors import InternalError
 from burnkit.gadget import settle_block_triples
 from burnkit.graph import Graph, build_path
@@ -71,12 +71,12 @@ permutation_reduction.build_permutation_graph = (
     lambda size, perm: Graph(size + 1, [])
 )
 expect("order", lambda: permutation_reduction.construct_px(TINY))
-farthest_first = burning._farthest_first
-burning._farthest_first = lambda *args: BurningSchedule(
-    farthest_first(*args).sources[:-1]
+# both burners' checks are handed their schedule without its last source
+simulate = burning.simulate
+burning.simulate = grid.simulate = (
+    lambda g, sched: simulate(g, sched.sources[:-1])
 )
 expect("greedy", lambda: greedy_burn(build_path(17)))
-grid._farthest_first = burning._farthest_first  # the truncating one
 expect("grid", lambda: burn_grid_2approx(GridSpec(5, 5)))
 # last: every caller of verify_partition now sees a refusal
 partition.verify_partition = lambda *args: False
