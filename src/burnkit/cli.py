@@ -6,7 +6,7 @@ verification or extraction failure (including unsolvable instances
 when a witness was requested), 2 malformed input, 3 search budget
 exhausted, 4 an internal fault: a failed self-check or any other error.
 BURN_BUDGET in the environment overrides the default search budget; an
-explicit --budget flag overrides both.
+explicit --budget flag overrides both.  A budget below 0 is malformed.
 """
 
 from __future__ import annotations
@@ -67,15 +67,18 @@ WORKED_EXAMPLE = (10, 11, 12, 14, 15, 16)
 
 
 def _budget(args: argparse.Namespace) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("BURN_BUDGET")
-    if env is not None:
+    budget, source = getattr(args, "budget", None), "--budget"
+    if budget is None:
+        env = os.environ.get("BURN_BUDGET")
+        if env is None:
+            return DEFAULT_NODE_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), "BURN_BUDGET"
         except ValueError:
             raise InputError(f"BURN_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_NODE_BUDGET
+    if budget < 0:
+        raise InputError(f"{source} must be at least 0, got {budget}")
+    return budget
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: list[str]) -> None:
@@ -317,6 +320,7 @@ def _gadget_table() -> dict[str, _Gadget]:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     gadget = _gadget_table()[args.kind]
     inst = read_instance(_read(args.infile))
+    budget = _budget(args) if args.witness else None  # before any write
     art = gadget.construct(inst)
     for name, writer in gadget.emits:
         path = getattr(args, f"emit_{name}")
@@ -332,7 +336,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
              for key, value in summary.items()]
     payload = {**summary, "witness": None}
     if args.witness:
-        partition = solve_3partition(inst, node_budget=_budget(args))
+        partition = solve_3partition(inst, node_budget=budget)
         if partition is None:
             _emit(args, payload, lines)
             print("instance has no solution, no witness written",

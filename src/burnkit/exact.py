@@ -52,22 +52,6 @@ class ExactResult:
     nodes_explored: int
 
 
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise BudgetExceededError(
-                f"search budget of {self.limit} nodes exhausted",
-                nodes_explored=self.used,
-            )
-
-
 class _Profile:
     """Per-graph ball data shared by every attempted k.
 
@@ -189,79 +173,99 @@ def _realize(g: Graph, planned: list[int | None]) -> list[int]:
     return schedule
 
 
-def _search(
-    profile: _Profile, k: int, budget: _Budget
-) -> BurningSchedule | None:
-    n = profile.graph.n
+def _cover_moves(profile: _Profile, mb: list[int], uncovered: int,
+                 available: list[int], cap: int, count: int, active: int
+                 ) -> list[tuple[int, int, int, int]]:
+    """Pick the target vertex and list its moves, best last.
+
+    A move is (-gain, radius, centre, ball).  The target stays in the
+    component just worked on (active) while any of it is uncovered: any
+    target keeps the branching complete and the memo is target-independent,
+    so this only steers the order."""
     order = profile.order
     rows = profile.masks
+    pool = uncovered & active or uncovered
+    tbit = pool & -pool
+    target = order[tbit.bit_length() - 1]
+    trow = rows[target]
+    rmax = available[-1]
+    candidates = trow[rmax] if rmax < len(trow) else trow[-1]
+    moves: list[tuple[int, int, int, int]] = []
+    while candidates:
+        low = candidates & -candidates
+        v = order[low.bit_length() - 1]
+        candidates ^= low
+        vrow = rows[v]
+        stored = len(vrow)
+        last_gain = 0
+        for r in available:
+            mask = vrow[r] if r < stored else vrow[-1]
+            if not mask & tbit:
+                continue
+            gain = (mask & uncovered).bit_count()
+            if gain > last_gain:
+                # a bigger radius with no extra gain is dominated:
+                # swapping the radii with its eventual user only helps
+                if gain + cap - mb[r] >= count:
+                    moves.append((-gain, r, v, mask))
+                last_gain = gain
+    moves.sort(reverse=True)
+    return moves
+
+
+def _search(profile: _Profile, k: int, used: int,
+            limit: int) -> tuple[BurningSchedule | None, int]:
+    """A k-round schedule or None, and used plus one per node visited."""
     mb = [profile.maxball_at(r) for r in range(k)]
     comp_mask = profile.comp_mask
-    by_radius: list[int | None] = [None] * k
     failed: set[tuple[int, int]] = set()
-    spend = budget.spend
-
-    def dfs(uncovered: int, radii: int, cap: int, active: int) -> bool:
-        spend()
+    free: dict[int, list[int]] = {}  # radii mask -> its radii, ascending
+    # open nodes: ((uncovered, radii), cap, moves), each trying moves[-1]
+    stack: list[tuple[tuple[int, int], int, list]] = []
+    uncovered, radii = (1 << profile.graph.n) - 1, (1 << k) - 1
+    cap, active = profile.caps[k - 1], 0
+    while True:
+        used += 1
+        if used > limit:
+            raise BudgetExceededError(
+                f"search budget of {limit} nodes exhausted",
+                nodes_explored=used,
+            )
         if not uncovered:
-            return True
+            planned: list[int | None] = [None] * k
+            for *_, moves in stack:
+                _, r, v, _ = moves[-1]
+                planned[k - 1 - r] = v  # radius r acts in round k - r
+            return BurningSchedule.of(_realize(profile.graph, planned)), used
         count = uncovered.bit_count()
-        if count > cap:
-            return False
-        key = (uncovered, radii)
-        if key in failed:
-            return False
-        # stay inside the component just worked on while any of it is
-        # uncovered; any target keeps the branching complete, and the
-        # memo is target-independent, so this only steers the order
-        pool = uncovered & active or uncovered
-        tbit = pool & -pool
-        target = order[tbit.bit_length() - 1]
-        tcomp = comp_mask[target]
-        available = []
-        rest = radii
-        while rest:
-            low = rest & -rest
-            available.append(low.bit_length() - 1)
-            rest ^= low
-        trow = rows[target]
-        rmax = available[-1]
-        reach = trow[rmax] if rmax < len(trow) else trow[-1]
-        scored: list[tuple[int, int, int, int]] = []
-        candidates = reach
-        while candidates:
-            low = candidates & -candidates
-            v = order[low.bit_length() - 1]
-            candidates ^= low
-            vrow = rows[v]
-            stored = len(vrow)
-            last_gain = 0
-            for r in available:
-                mask = vrow[r] if r < stored else vrow[-1]
-                if not mask & tbit:
-                    continue
-                gain = (mask & uncovered).bit_count()
-                if gain > last_gain:
-                    # a bigger radius with no extra gain is dominated:
-                    # swapping the radii with its eventual user only helps
-                    if gain + cap - mb[r] >= count:
-                        scored.append((-gain, r, v, mask))
-                    last_gain = gain
-        scored.sort()
-        for neg_gain, r, v, mask in scored:
-            by_radius[r] = v
-            if dfs(uncovered & ~mask, radii ^ (1 << r), cap - mb[r], tcomp):
-                return True
-            by_radius[r] = None
-        if len(failed) < _MEMO_CAP:
-            failed.add(key)
-        return False
-
-    if dfs((1 << n) - 1, (1 << k) - 1, profile.caps[k - 1], 0):
-        # radius r acts in round k - r
-        planned = [by_radius[k - t] for t in range(1, k + 1)]
-        return BurningSchedule.of(_realize(profile.graph, planned))
-    return None
+        moves = ()
+        if count <= cap and (key := (uncovered, radii)) not in failed:
+            if radii not in free:
+                free[radii] = [r for r in range(k) if radii >> r & 1]
+            moves = _cover_moves(profile, mb, uncovered, free[radii], cap,
+                                 count, active)
+            if not moves and len(failed) < _MEMO_CAP:
+                failed.add(key)
+        if moves:
+            stack.append((key, cap, moves))
+        else:
+            # the move that led here failed; a node out of moves fails too
+            while stack:
+                key, cap, moves = stack[-1]
+                moves.pop()
+                if moves:
+                    break
+                stack.pop()
+                if len(failed) < _MEMO_CAP:
+                    failed.add(key)
+            else:
+                return None, used
+            uncovered, radii = key
+        _, r, v, mask = moves[-1]
+        uncovered &= ~mask
+        radii ^= 1 << r
+        cap -= mb[r]
+        active = comp_mask[v]  # a centre shares its target's component
 
 
 def can_burn_in(
@@ -280,7 +284,7 @@ def can_burn_in(
     profile = _Profile(g, *census, radius_cap=k - 1)
     if k < profile.lower_bound():
         return None
-    return _search(profile, k, _Budget(node_budget))
+    return _search(profile, k, 0, node_budget)[0]
 
 
 def exact_burning_number(
@@ -295,11 +299,10 @@ def exact_burning_number(
     heuristic, *census = _greedy_bound(g)
     ub = len(heuristic)
     profile = _Profile(g, *census, radius_cap=ub - 2)
-    budget = _Budget(node_budget)
+    used = 0
     for k in range(profile.lower_bound(), ub):
-        witness = _search(profile, k, budget)
+        witness, used = _search(profile, k, used, node_budget)
         if witness is not None:
-            return ExactResult(
-                k=len(witness), witness=witness, nodes_explored=budget.used
-            )
-    return ExactResult(k=ub, witness=heuristic, nodes_explored=budget.used)
+            return ExactResult(k=len(witness), witness=witness,
+                               nodes_explored=used)
+    return ExactResult(k=ub, witness=heuristic, nodes_explored=used)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from burnkit import burning, exact
+from burnkit import burning, cli, exact
 from burnkit import graph as graph_module
 from burnkit.burning import (
     read_schedule,
@@ -225,16 +225,26 @@ class TestGreedyAndExact:
             "error: internal: greedy schedule does not burn the whole graph\n"
         )
 
-    def test_unexpected_exception_exits_4(self, tmp_path, capsys):
-        # 1,000 components put the search at k = 1,000, one stack frame
-        # per round, past Python's default recursion limit
-        forest = tmp_path / "forest.graph"
-        forest.write_text(write_graph(build_path_forest([3] * 999 + [1])))
-        assert main(["exact", "--graph", str(forest)]) == 4
+    def test_unexpected_exception_exits_4(self, monkeypatch, path9_file,
+                                          capsys):
+        def divide(*args, **kwargs):
+            return 1 // 0
+
+        monkeypatch.setattr(cli, "exact_burning_number", divide)
+        assert main(["exact", "--graph", path9_file]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: internal: RecursionError: ")
+        assert captured.err.startswith("error: internal: ZeroDivisionError: ")
         assert captured.err.count("\n") == 1
+
+    def test_a_thousand_components_exit_0(self, tmp_path, capsys):
+        # the search at k = 1,000 keeps one open node per placed radius
+        forest = tmp_path / "forest.graph"
+        forest.write_text(write_graph(build_path_forest([3] * 999 + [1])))
+        assert main(["exact", "--graph", str(forest)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "k = 1000"
+        assert captured.err == ""
 
     def test_exact_out_holds_the_printed_schedule(
         self, tmp_path, path9_file, capsys
@@ -254,6 +264,37 @@ class TestGreedyAndExact:
         assert main(["exact", "--graph", str(forest)]) == 3
         monkeypatch.setenv("BURN_BUDGET", "plenty")
         assert main(["exact", "--graph", path9_file]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--graph", "{graph}"],
+        ["3part", "--in", "{instance}"],
+        ["reduce-pg", "--in", "{instance}", "--witness", "{witness}"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_budget_is_malformed(
+        self, argv, tmp_path, monkeypatch, path9_file, instance_file, capsys
+    ):
+        witness = tmp_path / "w.txt"
+        argv = [a.format(graph=path9_file, instance=instance_file,
+                         witness=witness) for a in argv]
+        assert main([*argv, "--budget", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --budget must be at least 0, got -1\n"
+        )
+        monkeypatch.setenv("BURN_BUDGET", "-3")
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: BURN_BUDGET must be at least 0, got -3\n"
+        )
+        assert not witness.exists()
+
+    def test_zero_budget_reaches_the_search(self, path9_file, instance_file,
+                                            capsys):
+        assert main(["exact", "--graph", path9_file, "--budget", "0"]) == 3
+        assert main(["3part", "--in", instance_file, "--budget", "0"]) == 3
+        assert capsys.readouterr().err == (
+            "error: search budget of 0 nodes exhausted\n"
+            "error: solver budget of 0 nodes exhausted\n"
+        )
 
 
 def test_commands_without_a_burner_leave_numpy_unloaded(

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from burnkit import burning, exact, graph
-from burnkit.burning import greedy_burn, simulate
+from burnkit.burning import greedy_burn, simulate, verify_schedule
 from burnkit.errors import BudgetExceededError
 from burnkit.exact import _Profile, can_burn_in, exact_burning_number
 from burnkit.graph import (
@@ -263,6 +263,17 @@ class TestBudget:
         res = exact_burning_number(build_path(16))
         assert res.nodes_explored >= 0
 
+    def test_the_ladder_shares_one_budget(self):
+        # k = 7 is refuted in 27 nodes and k = 8 is found in 7 more
+        g = build_path_forest([5, 6, 6, 12, 7, 11])
+        res = exact_burning_number(g)
+        assert (res.k, res.nodes_explored) == (8, 34)
+        assert can_burn_in(g, 7) is None
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_burning_number(g, node_budget=33)
+        assert str(exc.value) == "search budget of 33 nodes exhausted"
+        assert exc.value.nodes_explored == 34
+
 
 class TestLargerInstances:
     def test_spread_out_forest(self):
@@ -294,3 +305,18 @@ class TestLargerInstances:
         elapsed = time.perf_counter() - start
         assert (res.k, res.nodes_explored) == (1001, 0)
         assert elapsed < 8.0  # 0.5-0.7 s on one x86 core
+
+    def test_a_thousand_components_searched_as_deep_as_k(self):
+        # lower bound 1,000 and greedy 1,001: the search at k = 1,000
+        # holds one open node per placed radius, far past the default
+        # recursion limit, and finds the cover along its first branch
+        g = build_path_forest([3] * 999 + [1])
+        start = time.perf_counter()
+        res = exact_burning_number(g)
+        elapsed = time.perf_counter() - start
+        assert (res.k, res.nodes_explored) == (1000, 1001)
+        assert verify_schedule(g, res.witness)
+        assert elapsed < 12.0  # 1.0-1.2 s on one x86 core
+        sched = can_burn_in(g, 1000)
+        assert len(sched) == 1000 and verify_schedule(g, sched)
+        assert can_burn_in(g, 999) is None
