@@ -1,6 +1,6 @@
 """Exact burning number search.
 
-The search works on the staggered-cover form of the problem: a graph
+Both searches work on the staggered-cover form of the problem: a graph
 admits a complete k-round schedule iff centers can be assigned to the
 distinct radii k - 1, ..., 0 so that the radius-r balls cover every
 vertex.  Covers are easier to branch on than raw schedules because the
@@ -10,18 +10,34 @@ unburnt vertex wherever no live center is planned (a planned center the
 fire already reached is covered by the front anyway, so nothing is
 lost).
 
-Branching follows the exact-cover pattern: take the smallest uncovered
-vertex, and try every way of covering it, meaning every still-unused
-radius r paired with every center whose radius-r ball reaches the
-vertex.  Coverage state is a bitmask, so candidate gains are popcounts.
-Three devices keep the tree small: a counting prune (the unused radii
-can cover at most the sum of their largest balls, so a node whose
-uncovered set is bigger is dead; on an n-vertex path this refutes
-k**2 < n at the root), a dominance rule (a larger radius offering the
-same restricted gain as a smaller one at the same center is never
+exact_burning_number and can_burn_in first ask whether the graph is a
+path forest (every degree at most 2, no cycle).  A path forest burns in
+k rounds iff the odd sizes 1, 3, ..., 2k - 1 split into one group per
+path, each group summing to at least the path's order: a radius-r ball
+covers at most 2r + 1 vertices of a path, and balls laid end to end
+along it cover exactly that.  So a path forest is decided by integer
+bin covering on the path orders alone, with no ball masks.  A node
+there gives the largest unassigned size to one path; paths with the same
+unmet demand are interchangeable, so each distinct demand is tried
+once, and a demand equal to the size is the only move tried (the path
+that would have taken the size can take this path's later ones).
+
+Every other graph, cycles included, takes the generic cover search,
+where a node places one radius at one centre.  Branching follows the
+exact-cover pattern: take the smallest uncovered vertex, and try every
+way of covering it, meaning every still-unused radius r paired with
+every center whose radius-r ball reaches the vertex.  Coverage state
+is a bitmask, so candidate gains are popcounts.
+
+Three devices keep either tree small: a counting prune (the sizes or
+radii left can cover at most the sum of their largest balls, so a node
+whose uncovered part is bigger is dead), a dominance rule (bin
+covering's exact fit; in the generic search, a larger radius offering
+the same restricted gain as a smaller one at the same center is never
 tried: swapping the two radii between centers can only grow coverage),
-and memoization of refuted (uncovered, unused-radii) states, which
-collapses placements that merely permute each other.
+and memoization of refuted states, which collapses placements that
+merely permute each other.  Both count one node per visit against one
+node budget shared by the whole ladder of attempted k.
 """
 
 from __future__ import annotations
@@ -268,29 +284,113 @@ def _search(profile: _Profile, k: int, used: int,
         active = comp_mask[v]  # a centre shares its target's component
 
 
-def can_burn_in(
-    g: Graph, k: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> BurningSchedule | None:
-    """Return a complete schedule of length <= k, or None if impossible.
+def _path_forest(g: Graph) -> list[list[int]] | None:
+    """g's components as vertex lists in path order, or None unless g is
+    a path forest: every degree at most 2 and no cycle (a cycle has no
+    end, so the walks from the ends miss it)."""
+    adj = g.adjacency
+    if any(len(a) > 2 for a in adj):
+        return None
+    paths: list[list[int]] = []
+    ends: set[int] = set()  # far ends of the paths walked so far
+    for s in range(g.n):
+        if len(adj[s]) == 2 or s in ends:
+            continue
+        path, prev = [s], -1
+        while ahead := [w for w in adj[path[-1]] if w != prev]:
+            prev = path[-1]
+            path.append(ahead[0])
+        ends.add(path[-1])
+        paths.append(path)
+    return paths if sum(map(len, paths)) == g.n else None
 
-    Raises BudgetExceededError when the search exhausts node_budget
-    before settling the question either way.
+
+def _cover_paths(g: Graph, paths: list[list[int]], k: int, used: int,
+                 limit: int) -> tuple[BurningSchedule | None, int]:
+    """A k-round schedule of the path forest g or None, and used plus one
+    per node visited.
+
+    The sizes 2k - 1, ..., 3, 1 are split into one group per path, each
+    summing to at least the path's order.  A node is (r, unmet demands),
+    its moves the distinct demands size 2r + 1 can go to, largest tried
+    first.  Demands are (demand, paths with it) pairs, ascending, so a
+    node costs the distinct demands, not the paths.
     """
-    if k < 1:
-        return None
-    heuristic, *census = _greedy_bound(g)
-    if len(heuristic) <= k:
-        return heuristic
-    profile = _Profile(g, *census, radius_cap=k - 1)
-    if k < profile.lower_bound():
-        return None
-    return _search(profile, k, 0, node_budget)[0]
+    failed: set[tuple[int, tuple]] = set()
+    # open nodes: ((r, demands), moves), each giving its size to moves[-1]
+    stack: list[tuple[tuple[int, tuple], list[int]]] = []
+    counts: dict[int, int] = {}  # the node's demands as a dict
+    for path in paths:
+        counts[len(path)] = counts.get(len(path), 0) + 1
+    r, demands = k - 1, tuple(sorted(counts.items()))
+    while True:
+        used += 1
+        if used > limit:
+            raise BudgetExceededError(
+                f"search budget of {limit} nodes exhausted",
+                nodes_explored=used,
+            )
+        if not demands:
+            # give each open node's size to a path with the demand it
+            # chose, laying each path's balls end to end, largest first
+            planned: list[int | None] = [None] * k
+            start = [0] * len(paths)  # each path's first uncovered vertex
+            waiting: dict[int, list[int]] = {}  # demand -> paths with it
+            for j, path in enumerate(paths):
+                waiting.setdefault(len(path), []).append(j)
+            for (r, _), moves in stack:
+                path = paths[j := waiting[moves[-1]].pop()]
+                planned[k - 1 - r] = path[min(start[j] + r, len(path) - 1)]
+                start[j] += 2 * r + 1
+                if start[j] < len(path):
+                    waiting.setdefault(len(path) - start[j], []).append(j)
+            return BurningSchedule.of(_realize(g, planned)), used
+        moves = []
+        if (key := (r, demands)) not in failed:
+            size = 2 * r + 1
+            if size in counts:
+                # an exact fit dominates: whichever path the size would
+                # go to instead can take this path's later sizes
+                moves = [size]
+            else:
+                # the counting prune, one level ahead (both callers' lower
+                # bound covers the root): the smaller sizes sum to r * r,
+                # so this one may overshoot its path by the slack at most,
+                # and it must close a path if as many are open as sizes left
+                low = size - (r + 1) ** 2 + sum(d * c for d, c in demands)
+                high = size if sum(counts.values()) > r else demands[-1][0]
+                moves = [d for d, _ in demands if low <= d <= high]
+            if not moves and len(failed) < _MEMO_CAP:
+                failed.add(key)
+        if moves:
+            stack.append((key, moves))
+        else:
+            # the move that led here failed; a node out of moves fails too
+            while stack:
+                key, moves = stack[-1]
+                moves.pop()
+                if moves:
+                    break
+                stack.pop()
+                if len(failed) < _MEMO_CAP:
+                    failed.add(key)
+            else:
+                return None, used
+            r, demands = key
+        d = moves[-1]
+        counts = dict(demands)
+        counts[d] -= 1
+        if not counts[d]:
+            del counts[d]
+        if d > 2 * r + 1:
+            counts[d - 2 * r - 1] = counts.get(d - 2 * r - 1, 0) + 1
+        r, demands = r - 1, tuple(sorted(counts.items()))
 
 
-def exact_burning_number(
+def _generic_ladder(
     g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExactResult:
-    """Smallest k admitting a complete schedule, with a verified witness.
+    """exact_burning_number by the cover search, for any graph.
 
     A greedy run pins an upper bound; the search then climbs
     k = lower bound, lower bound + 1, ... under one shared node budget
@@ -306,3 +406,46 @@ def exact_burning_number(
             return ExactResult(k=len(witness), witness=witness,
                                nodes_explored=used)
     return ExactResult(k=ub, witness=heuristic, nodes_explored=used)
+
+
+def can_burn_in(
+    g: Graph, k: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> BurningSchedule | None:
+    """Return a complete schedule of length <= k, or None if impossible.
+
+    Raises BudgetExceededError when the search exhausts node_budget
+    before settling the question either way.
+    """
+    if k < 1:
+        return None
+    if (paths := _path_forest(g)) is not None:
+        if k < max(len(paths), ceil_sqrt(g.n)):
+            return None
+        return _cover_paths(g, paths, k, 0, node_budget)[0]
+    heuristic, *census = _greedy_bound(g)
+    if len(heuristic) <= k:
+        return heuristic
+    profile = _Profile(g, *census, radius_cap=k - 1)
+    if k < profile.lower_bound():
+        return None
+    return _search(profile, k, 0, node_budget)[0]
+
+
+def exact_burning_number(
+    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
+) -> ExactResult:
+    """Smallest k admitting a complete schedule, with a verified witness.
+
+    A path forest climbs k from max(components, ceil(sqrt(n))) by bin
+    covering until a split appears; any other graph takes the cover
+    search's ladder.  Both share one node budget across their ladder.
+    """
+    if (paths := _path_forest(g)) is None:
+        return _generic_ladder(g, node_budget)
+    k, used = max(len(paths), ceil_sqrt(g.n)), 0
+    while True:
+        witness, used = _cover_paths(g, paths, k, used, node_budget)
+        if witness is not None:
+            return ExactResult(k=len(witness), witness=witness,
+                               nodes_explored=used)
+        k += 1

@@ -14,6 +14,7 @@ from burnkit.burning import (
 )
 from burnkit.cli import main
 from burnkit.graph import (
+    Graph,
     build_path,
     build_path_forest,
     read_graph,
@@ -208,9 +209,12 @@ class TestGreedyAndExact:
     def test_oversized_masks_exhaust_before_search(
         self, tmp_path, monkeypatch, capsys
     ):
+        # a cycle, since bin covering decides a path with no masks
         monkeypatch.setattr(exact, "_MAX_MASK_BITS", 1000)
-        path = tmp_path / "path40.graph"
-        path.write_text(write_graph(build_path(40)))
+        path = tmp_path / "cycle40.graph"
+        path.write_text(write_graph(
+            Graph(40, [(i, (i + 1) % 40) for i in range(40)])
+        ))
         assert main(["exact", "--graph", str(path)]) == 3
         assert capsys.readouterr().err.startswith(
             "error: ball masks of up to "
@@ -245,6 +249,19 @@ class TestGreedyAndExact:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0] == "k = 1000"
         assert captured.err == ""
+
+    def test_a_zero_slack_forest_exits_3_on_its_budget(self, tmp_path,
+                                                       capsys):
+        # burning number 30, and about 1.3 million bin-covering nodes
+        forest = tmp_path / "tight.graph"
+        forest.write_text(write_graph(build_path_forest(
+            [1, 87, 104, 97, 12, 56, 59, 102, 15, 172, 90, 105]
+        )))
+        assert main(["exact", "--graph", str(forest),
+                     "--budget", "10000"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: search budget of 10000 nodes exhausted\n"
+        )
 
     def test_exact_out_holds_the_printed_schedule(
         self, tmp_path, path9_file, capsys
@@ -301,7 +318,9 @@ def test_commands_without_a_burner_leave_numpy_unloaded(
     tmp_path, instance_file
 ):
     graph, sched = tmp_path / "p.graph", tmp_path / "s.txt"
+    forest = tmp_path / "f.graph"
     sched.write_text("2 6 8\n")
+    forest.write_text(write_graph(build_path_forest([9, 4, 1])))
     script = f"""
 import sys
 from burnkit.cli import main
@@ -311,6 +330,8 @@ for argv in (
     ["3part", "--in", {instance_file!r}],
     ["verify", "--graph", {str(graph)!r}, "--schedule", {str(sched)!r}],
     ["reduce-ig", "--in", {instance_file!r}, "--witness", {str(sched)!r}],
+    ["exact", "--graph", {str(forest)!r}],
+    ["exact", "--graph", {str(graph)!r}],
 ):
     assert main(argv) == 0, argv
 print("numpy" in sys.modules, "concurrent.futures.process" in sys.modules)

@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnkit import burning, exact, graph
 from burnkit.burning import greedy_burn, simulate, verify_schedule
@@ -29,9 +31,9 @@ def profile(g: Graph, radius_cap: int) -> _Profile:
     return _Profile(g, *census, radius_cap=radius_cap)
 
 
-def count_calls(monkeypatch, name: str) -> list[tuple]:
-    """Record the arguments of every call to graph.<name>, at every binding."""
-    real, calls = getattr(graph, name), []
+def count_calls(monkeypatch, name: str, home=graph) -> list[tuple]:
+    """Record the arguments of every call to home.<name>, at every binding."""
+    real, calls = getattr(home, name), []
 
     def counted(*args):
         calls.append(args)
@@ -160,16 +162,22 @@ class TestProfile:
         # greedy's later sources run their own field-bounded BFS
         assert len(calls) == centre_runs
         calls.clear()
-        exact_burning_number(build_path(50))
+        exact._generic_ladder(build_path(50))
         # one centre search gives greedy's centre and the profile's diameter
         assert len(calls) == centre_runs == 3
         calls.clear()
+        # bin covering decides a path with no BFS at all
+        exact_burning_number(build_path(50))
+        assert calls == []
         # every vertex of a cycle has the same eccentricity
         exact_burning_number(Graph(60, [(i, (i + 1) % 60) for i in range(60)]))
         assert len(calls) == 60
 
     def test_one_census_per_call(self, monkeypatch):
-        g = build_path_forest([9, 4, 1])
+        # a path of 9, a star on 4 and a lone vertex: the star's centre
+        # has degree 3, so every run below takes the generic search
+        g = Graph(14, [*build_path_forest([9]).edges(),
+                       (9, 10), (9, 11), (9, 12)])
         each_once = sorted((g, c) for c in graph.connected_components(g))
         components = count_calls(monkeypatch, "connected_components")
         centres = count_calls(monkeypatch, "center_and_diameter")
@@ -185,8 +193,10 @@ class TestProfile:
             assert sorted(centres) == each_once
 
     def test_a_greedy_fit_stays_in_the_largest_component(self, monkeypatch):
-        # two largest components: greedy_burn starts in the first, 5..13
-        g = build_path_forest([5, 9, 3, 9])
+        # two largest components: greedy_burn starts in the first, 5..13;
+        # the star on 26..29 keeps the forest off the path-forest route
+        g = Graph(30, [*build_path_forest([5, 9, 3, 9]).edges(),
+                       (26, 27), (26, 28), (26, 29)])
         heuristic = greedy_burn(g)
         calls = count_calls(monkeypatch, "bfs_distances")
         graph.radical_center(g, range(5, 14))
@@ -206,19 +216,22 @@ class TestProfile:
         cap = len(greedy_burn(g)) - 2  # exact_burning_number's radius cap
         # the limit holds exactly the masks of radii 0..cap on 50 vertices
         monkeypatch.setattr(exact, "_MAX_MASK_BITS", 50 * 50 * (cap + 1))
-        assert exact_burning_number(g).k == 8
+        assert exact._generic_ladder(g).k == 8
         with pytest.raises(BudgetExceededError, match="ball masks") as exc:
             profile(g, cap + 1)
         assert exc.value.nodes_explored == 0
         with pytest.raises(BudgetExceededError, match="ball masks"):
-            exact_burning_number(build_path(51))
+            exact._generic_ladder(build_path(51))
+        # bin covering builds no masks
+        assert exact_burning_number(build_path(51)).k == 8
         # radii past the diameter store nothing, so they count for nothing
         assert profile(Graph(50, []), 60).masks[0] == [1]
 
 
 class TestPinnedResults:
-    """Pinned (k, witness, nodes_explored): a change to the search or
-    to cover realisation shows here.
+    """Pinned (k, witness, nodes_explored) of the generic cover search,
+    reached through its private entry point even on path forests: a
+    change to the search or to cover realisation shows here.
 
     Each case reaches the search, so the witness comes out of cover
     realisation; on the random graph a planned centre is missing and
@@ -235,6 +248,86 @@ class TestPinnedResults:
         ]), 3, (1, 0, 2), 3),
     ])
     def test_small_graphs(self, make, k, witness, nodes):
+        res = exact._generic_ladder(make())
+        assert (res.k, tuple(res.witness), res.nodes_explored) == (
+            k, witness, nodes
+        )
+
+    def test_worked_permutation_gadget(self):
+        art = construct_px(ThreePartitionInstance.of([10, 11, 12, 14, 15, 16]))
+        res = exact._generic_ladder(art.graph)
+        assert res.k == 16 and res.nodes_explored == 103_624
+        assert tuple(res.witness) == (
+            16, 88, 137, 161, 64, 42, 112, 182,
+            200, 212, 226, 234, 244, 248, 254, 255,
+        )
+
+
+class TestPathForests:
+    """Path forests are decided by bin covering on their path orders."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(orders=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16))
+    def test_agrees_with_the_generic_search(self, orders, seed):
+        # ids shuffled, so no path runs in id order
+        forest = build_path_forest(orders)
+        ids = list(range(forest.n))
+        random.Random(seed).shuffle(ids)
+        g = Graph(forest.n, [(ids[u], ids[v]) for u, v in forest.edges()])
+        res = exact_burning_number(g)
+        assert res.k == exact._generic_ladder(g).k == len(res.witness)
+        assert verify_schedule(g, res.witness)
+        assert can_burn_in(g, res.k - 1) is None
+        sched = can_burn_in(g, res.k)
+        assert len(sched) <= res.k and verify_schedule(g, sched)
+
+    def test_paths_burn_in_ceil_sqrt(self):
+        for n in range(1, 401):
+            g = build_path(n)
+            res = exact_burning_number(g)
+            assert res.k == math.isqrt(n - 1) + 1
+            assert verify_schedule(g, res.witness)
+
+    @pytest.mark.parametrize("g", [
+        Graph(9, [(i, (i + 1) % 9) for i in range(9)]),  # a cycle
+        Graph(9, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (0, 6),
+                  (6, 7), (7, 8)]),  # a spider with three legs
+        # a forest plus one chord: the chord closes its path into a cycle
+        Graph(13, [*build_path_forest([6, 4, 3]).edges(), (0, 5)]),
+        # a cycle beside two paths
+        Graph(12, [*build_path_forest([5, 4, 3]).edges(), (0, 4)]),
+    ], ids=["cycle", "spider", "forest-plus-chord", "cycle-and-paths"])
+    def test_other_graphs_take_the_generic_search(self, g, monkeypatch):
+        bins = count_calls(monkeypatch, "_cover_paths", exact)
+        generic = count_calls(monkeypatch, "_greedy_bound", exact)
+        res = exact_burning_number(g)
+        assert can_burn_in(g, res.k - 1) is None
+        assert (len(bins), len(generic)) == (0, 2)
+        assert verify_schedule(g, res.witness)
+
+    def test_path_forests_skip_greedy_centres_and_masks(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a path forest reached the generic search")
+
+        bins = count_calls(monkeypatch, "_cover_paths", exact)
+        for name in ("_greedy_bound", "_Profile"):
+            monkeypatch.setattr(exact, name, forbidden)
+        monkeypatch.setattr(graph, "center_and_diameter", forbidden)
+        g = build_path_forest([9, 4, 1])
+        assert exact_burning_number(g).k == 4
+        assert can_burn_in(g, 3) is None  # below the bound: no search
+        assert verify_schedule(g, can_burn_in(g, 4))
+        assert len(bins) == 2
+
+    @pytest.mark.parametrize("make,k,witness,nodes", [
+        (lambda: build_path(14), 4, (3, 9, 13, 0), 4),
+        (lambda: build_path_forest([9, 4, 1]), 4, (3, 11, 8, 13), 5),
+        (lambda: build_path_forest([2 * i + 1 for i in range(16)]), 16,
+         (240, 210, 182, 156, 132, 110, 90, 72, 56, 42, 30, 20, 12, 6, 2, 0),
+         17),
+    ])
+    def test_pinned_results(self, make, k, witness, nodes):
         res = exact_burning_number(make())
         assert (res.k, tuple(res.witness), res.nodes_explored) == (
             k, witness, nodes
@@ -242,12 +335,28 @@ class TestPinnedResults:
 
     def test_worked_permutation_gadget(self):
         art = construct_px(ThreePartitionInstance.of([10, 11, 12, 14, 15, 16]))
+        start = time.perf_counter()
         res = exact_burning_number(art.graph)
-        assert res.k == 16 and res.nodes_explored == 103_624
+        elapsed = time.perf_counter() - start
+        assert res.k == 16 and res.nodes_explored == 17
         assert tuple(res.witness) == (
-            16, 88, 137, 161, 64, 42, 112, 182,
+            91, 13, 41, 161, 116, 138, 66, 182,
             200, 212, 226, 234, 244, 248, 254, 255,
         )
+        assert verify_schedule(art.graph, res.witness)
+        assert elapsed < 0.5  # about 0.4 ms on one x86 core
+
+    def test_a_zero_slack_forest_exhausts_a_small_budget(self):
+        # twelve paths whose orders group the odd sizes 1..59 exactly:
+        # 900 vertices, burning number 30, and bin covering's weak case
+        # (it needs about 1.3 million nodes to find the split)
+        orders = [1, 87, 104, 97, 12, 56, 59, 102, 15, 172, 90, 105]
+        assert sum(orders) == 30 * 30
+        g = build_path_forest(orders)
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_burning_number(g, node_budget=10_000)
+        assert str(exc.value) == "search budget of 10000 nodes exhausted"
+        assert exc.value.nodes_explored == 10_001
 
 
 class TestBudget:
@@ -256,8 +365,13 @@ class TestBudget:
         # far beyond a 3-node allowance
         g = build_path_forest([2 * i + 1 for i in range(16)])
         with pytest.raises(BudgetExceededError) as exc:
-            can_burn_in(g, 16, node_budget=3)
+            exact._generic_ladder(g, node_budget=3)
         assert exc.value.nodes_explored >= 3
+        # bin covering needs a node per size and one more
+        with pytest.raises(BudgetExceededError) as exc:
+            can_burn_in(g, 16, node_budget=3)
+        assert str(exc.value) == "search budget of 3 nodes exhausted"
+        assert exc.value.nodes_explored == 4
 
     def test_result_reports_nodes(self):
         res = exact_burning_number(build_path(16))
@@ -266,13 +380,23 @@ class TestBudget:
     def test_the_ladder_shares_one_budget(self):
         # k = 7 is refuted in 27 nodes and k = 8 is found in 7 more
         g = build_path_forest([5, 6, 6, 12, 7, 11])
-        res = exact_burning_number(g)
+        res = exact._generic_ladder(g)
         assert (res.k, res.nodes_explored) == (8, 34)
         assert can_burn_in(g, 7) is None
         with pytest.raises(BudgetExceededError) as exc:
-            exact_burning_number(g, node_budget=33)
+            exact._generic_ladder(g, node_budget=33)
         assert str(exc.value) == "search budget of 33 nodes exhausted"
         assert exc.value.nodes_explored == 34
+
+    def test_the_bin_covering_ladder_shares_one_budget(self):
+        # bin covering refutes k = 7 in 5 nodes and finds k = 8 in 7 more
+        g = build_path_forest([5, 6, 6, 12, 7, 11])
+        res = exact_burning_number(g)
+        assert (res.k, res.nodes_explored) == (8, 12)
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_burning_number(g, node_budget=11)
+        assert str(exc.value) == "search budget of 11 nodes exhausted"
+        assert exc.value.nodes_explored == 12
 
 
 class TestLargerInstances:
@@ -301,22 +425,30 @@ class TestLargerInstances:
         # that costs k**2 * components steps (tens of seconds here)
         g = build_path_forest([3] * 1000)
         start = time.perf_counter()
-        res = exact_burning_number(g)
+        res = exact._generic_ladder(g)
         elapsed = time.perf_counter() - start
         assert (res.k, res.nodes_explored) == (1001, 0)
         assert elapsed < 8.0  # 0.5-0.7 s on one x86 core
+        # bin covering runs one chain of nodes per attempted k
+        res = exact_burning_number(g)
+        assert (res.k, res.nodes_explored) == (1001, 1999)
+        assert verify_schedule(g, res.witness)
 
     def test_a_thousand_components_searched_as_deep_as_k(self):
-        # lower bound 1,000 and greedy 1,001: the search at k = 1,000
-        # holds one open node per placed radius, far past the default
-        # recursion limit, and finds the cover along its first branch
+        # lower bound 1,000 and greedy 1,001: each search at k = 1,000
+        # holds one open node per placed radius (or size), far past the
+        # default recursion limit, and finds the cover along its first
+        # branch
         g = build_path_forest([3] * 999 + [1])
         start = time.perf_counter()
-        res = exact_burning_number(g)
+        res = exact._generic_ladder(g)
         elapsed = time.perf_counter() - start
         assert (res.k, res.nodes_explored) == (1000, 1001)
         assert verify_schedule(g, res.witness)
         assert elapsed < 12.0  # 1.0-1.2 s on one x86 core
+        res = exact_burning_number(g)
+        assert (res.k, res.nodes_explored) == (1000, 1001)
+        assert verify_schedule(g, res.witness)
         sched = can_burn_in(g, 1000)
         assert len(sched) == 1000 and verify_schedule(g, sched)
         assert can_burn_in(g, 999) is None

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from burnkit.burning import BurningSchedule, simulate
+from burnkit.burning import BurningSchedule, simulate, verify_schedule
 from burnkit.errors import (
     ExtractionError,
     GraphError,
@@ -13,7 +14,13 @@ from burnkit.errors import (
 from burnkit.exact import exact_burning_number
 from burnkit import permutation_reduction
 from burnkit.graph import Graph, build_permutation_graph, connected_components
-from burnkit.partition import Partition3, ThreePartitionInstance
+from burnkit.partition import (
+    Partition3,
+    ThreePartitionInstance,
+    solve_3partition,
+    validate_instance,
+    verify_partition,
+)
 from burnkit.permutation_reduction import (
     PermutationArtifact,
     construct_px,
@@ -24,6 +31,7 @@ from burnkit.permutation_reduction import (
     schedule_to_partition_pg,
     write_permutation,
 )
+from conftest import random_solvable_instance
 
 WORKED = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
 WORKED_SOLUTION = Partition3.of([(10, 14, 15), (11, 12, 16)])
@@ -275,14 +283,86 @@ class TestReverse:
             assert verify_partition(instance, found)
 
 
+def one_unit_no_instance(
+    rng: random.Random, planted: ThreePartitionInstance
+) -> ThreePartitionInstance | None:
+    """A valid instance with no 3-partition that moves one unit from one
+    element of planted to another, tried in a seeded order; or None."""
+    elements = list(planted.elements)
+    moves = list(itertools.permutations(range(len(elements)), 2))
+    rng.shuffle(moves)
+    for i, j in moves:
+        moved = list(elements)
+        moved[i] += 1
+        moved[j] -= 1
+        instance = ThreePartitionInstance.of(moved)
+        try:
+            validate_instance(instance)
+        except InstanceError:
+            continue
+        if solve_3partition(instance) is None:
+            return instance
+    return None
+
+
+class TestDecidedBothWays:
+    """The gadget burns in m rounds exactly when a 3-partition exists.
+
+    Path forests are decided by bin covering, so both directions run on
+    seeded planted instances (with a partition) and one-unit
+    perturbations of them that the solver finds unsolvable.
+    """
+
+    PLANTED = [
+        random_solvable_instance(random.Random(7000 + 10 * n + slack), n,
+                                 slack)[0]
+        for n in (2, 3, 4) for slack in range(2, 8)
+    ]
+
+    @pytest.mark.parametrize(
+        "instance", PLANTED,
+        ids=lambda inst: "-".join(map(str, inst.elements)),
+    )
+    def test_a_partition_means_burning_in_m_rounds(self, instance):
+        assert solve_3partition(instance) is not None
+        art = construct_px(instance)
+        res = exact_burning_number(art.graph)
+        assert res.k == art.derived.m
+        assert verify_schedule(art.graph, res.witness)
+        found = schedule_to_partition_pg(art, res.witness)
+        assert verify_partition(instance, found)
+
+    def test_no_partition_means_more_than_m_rounds(self):
+        rng = random.Random(4141)
+        decided = 0
+        for planted in self.PLANTED:
+            instance = one_unit_no_instance(rng, planted)
+            if instance is None:
+                continue
+            art = construct_px(instance)
+            res = exact_burning_number(art.graph)
+            assert res.k > art.derived.m
+            assert verify_schedule(art.graph, res.witness)
+            decided += 1
+        assert decided >= 10
+
+
 class TestUnsolvableGadget:
     def test_structure_builds_without_deciding(self, unsolvable_instance):
-        # construction is instance-agnostic; deciding burnability of an
-        # unsolvable gadget is the hard direction and is not run here
+        # construction is instance-agnostic: the gadget is built the same
+        # way with or without a partition, and decided in the next test
         art = construct_px(unsolvable_instance)
         assert art.derived.m == 21
         assert art.graph.n == 441
         assert art.target_rounds == 21
+
+    def test_no_partition_means_more_than_m_rounds(self, unsolvable_instance):
+        # bin covering refutes the 441-vertex gadget at m = 21 and burns
+        # it in 22
+        art = construct_px(unsolvable_instance)
+        res = exact_burning_number(art.graph)
+        assert (res.k, res.nodes_explored) == (22, 38)
+        assert verify_schedule(art.graph, res.witness)
 
     def test_no_partition_means_no_forward_schedule(
         self, unsolvable_instance
