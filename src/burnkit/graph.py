@@ -3,6 +3,15 @@
 Vertices are always the integers 0..n-1.  Graphs are simple, undirected,
 and immutable once built; adjacency lists are kept sorted so that every
 traversal in the package is deterministic.
+
+`Graph(n, edges)` is the one validating constructor: files, the CLI and
+library callers go through it.  The generators below build their rows
+directly and hand them to `Graph._of_rows`, which checks nothing.  It
+trusts the row invariant that `Graph(n, edges)` establishes: a tuple
+with one tuple per vertex, each sorted ascending, free of duplicates
+and of the vertex itself, and symmetric (w in row v iff v in row w).
+So a generator's graph is the one `Graph(g.n, list(g.edges()))` would
+build: equal adjacency, m and hash.
 """
 
 from __future__ import annotations
@@ -23,33 +32,62 @@ _MAX_READ_ORDER = 1_000_000
 
 
 class Graph:
-    """Immutable simple undirected graph on vertex ids 0..n-1."""
+    """Immutable simple undirected graph on vertex ids 0..n-1.
+
+    `adjacency[v]` is v's row: a tuple of its neighbours, sorted
+    ascending, without duplicates or v itself, and symmetric across
+    rows.  The constructor checks every edge and drops repeats; the
+    generators build rows meeting that invariant and skip the checks
+    through `_of_rows`.
+    """
 
     __slots__ = ("n", "_adj", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 1:
-            raise GraphError(f"graph needs at least one vertex, got n={n}")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-            m += 1
+        # a non-integer n or id fails a comparison, range() or an index
+        # below; catching that here costs nothing per edge
+        try:
+            if n < 1:
+                raise GraphError(f"graph needs at least one vertex, got n={n}")
+            adj: list[list[int]] = [[] for _ in range(n)]
+            seen: set[tuple[int, int]] = set()
+            m = 0
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise GraphError(f"self-loop at vertex {u}")
+                key = (u, v) if u < v else (v, u)
+                if key in seen:
+                    continue
+                seen.add(key)
+                adj[u].append(v)
+                adj[v].append(u)
+                m += 1
+        except (TypeError, ValueError) as exc:
+            raise GraphError(
+                f"a graph needs an integer n and (u, v) pairs of integer "
+                f"ids: {exc}"
+            ) from None
         self.n = n
         self._m = m
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(ns)) for ns in adj
         )
+
+    @classmethod
+    def _of_rows(cls, rows: tuple[tuple[int, ...], ...]) -> Graph:
+        """The graph whose adjacency is `rows`, taken on trust.
+
+        For generators only: rows must already meet the class invariant
+        (sorted, duplicate-free, loop-free, symmetric tuples), since
+        nothing here checks it.
+        """
+        g = cls.__new__(cls)
+        g.n = len(rows)
+        g._m = sum(map(len, rows)) // 2
+        g._adj = rows
+        return g
 
     @property
     def m(self) -> int:
@@ -103,27 +141,49 @@ class IntervalRepresentation:
 # --- generators ---------------------------------------------------------
 
 
+def _path_rows(
+    lo: int, t: int, up: tuple[int, ...] = (), down: tuple[int, ...] = ()
+) -> list[tuple[int, ...]]:
+    """Rows of the path lo, lo+1, ..., lo+t-1, in id order.
+
+    Every vertex v of it is also joined to v + s for each offset s in
+    `up` (negative) and `down` (positive).  Unless t == 1 the offsets
+    lie outside -1..1, so each row comes out sorted.
+    """
+    hi = lo + t
+    if t == 1:
+        spans = [(lo, hi, up + down)]
+    else:
+        spans = [(lo, lo + 1, up + (1,) + down),
+                 (lo + 1, hi - 1, up + (-1, 1) + down),
+                 (hi - 1, hi, up + (-1,) + down)]
+    rows: list[tuple[int, ...]] = []
+    for a, b, offsets in spans:
+        if offsets:
+            rows.extend(zip(*(range(a + s, b + s) for s in offsets)))
+        else:
+            rows.extend([()] * (b - a))
+    return rows
+
+
 def build_path(n: int) -> Graph:
     """Path on n vertices: 0-1-...-(n-1)."""
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph._of_rows(tuple(_path_rows(0, n)))
 
 
 def build_grid(rows: int, cols: int) -> Graph:
     """rows x cols grid; cell (r, c) is vertex r*cols + c, 4-neighborhood."""
     if rows < 1 or cols < 1:
         raise GraphError(f"grid needs positive sides, got {rows}x{cols}")
-    edges: list[tuple[int, int]] = []
+    adj: list[tuple[int, ...]] = []
     for r in range(rows):
-        base = r * cols
-        for c in range(cols):
-            v = base + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph(rows * cols, edges)
+        # each grid row is a path, joined to the grid rows above and below
+        adj.extend(_path_rows(r * cols, cols,
+                              (-cols,) if r else (),
+                              (cols,) if r + 1 < rows else ()))
+    return Graph._of_rows(tuple(adj))
 
 
 def build_path_forest(lengths: Sequence[int]) -> Graph:
@@ -133,12 +193,14 @@ def build_path_forest(lengths: Sequence[int]) -> Graph:
     for t in lengths:
         if t < 1:
             raise GraphError(f"component order must be >= 1, got {t}")
-    edges: list[tuple[int, int]] = []
-    base = 0
-    for t in lengths:
-        edges.extend((base + i, base + i + 1) for i in range(t - 1))
-        base += t
-    return Graph(base, edges)
+    # one path through every id, cut between consecutive components
+    adj = _path_rows(0, sum(lengths))
+    cut = 0
+    for t in lengths[:-1]:
+        cut += t
+        adj[cut - 1] = adj[cut - 1][:-1]
+        adj[cut] = adj[cut][1:]
+    return Graph._of_rows(tuple(adj))
 
 
 def build_comb(spine: int) -> Graph:
@@ -149,9 +211,17 @@ def build_comb(spine: int) -> Graph:
     """
     if spine < 1:
         raise GraphError(f"comb needs a positive spine, got {spine}")
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    edges.extend((h, spine + h - 1) for h in range(1, spine - 1))
-    return Graph(spine + max(0, spine - 2), edges)
+    if spine < 3:  # no interior vertex, so no leaf
+        return build_path(spine)
+    # host h sits between h-1 and h+1 and carries leaf spine+h-1, whose
+    # row is h alone
+    return Graph._of_rows((
+        (1,),
+        *zip(range(0, spine - 2), range(2, spine),
+             range(spine, 2 * spine - 2)),
+        (spine - 2,),
+        *zip(range(1, spine - 1)),
+    ))
 
 
 def build_interval_graph(rep: IntervalRepresentation) -> Graph:
@@ -161,13 +231,16 @@ def build_interval_graph(rep: IntervalRepresentation) -> Graph:
         raise GraphError("interval representation is empty")
     order = sorted(range(n), key=lambda i: (rep.intervals[i][0], i))
     active: list[int] = []  # ids whose interval may still overlap later ones
-    edges: list[tuple[int, int]] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    # each pair meets once: when the later-starting interval is swept
     for i in order:
         lo, _ = rep.intervals[i]
         active = [j for j in active if rep.intervals[j][1] >= lo]
-        edges.extend((j, i) for j in active)
+        for j in active:
+            adj[j].append(i)
+        adj[i].extend(active)
         active.append(i)
-    return Graph(n, edges)
+    return Graph._of_rows(tuple(tuple(sorted(row)) for row in adj))
 
 
 def build_permutation_graph(size: int, perm: Sequence[int]) -> Graph:
@@ -181,14 +254,18 @@ def build_permutation_graph(size: int, perm: Sequence[int]) -> Graph:
     if len(perm) != size or sorted(perm) != list(range(1, size + 1)):
         raise GraphError(f"not a permutation of 1..{size}")
     # sweep left to right: the larger values already seen are exactly
-    # the ones that invert against the current value
+    # the ones that invert against the current value, each pair once
     seen: list[int] = []  # ascending
-    edges: list[tuple[int, int]] = []
+    adj: list[list[int]] = [[] for _ in range(size)]
     for value in perm:
         at = bisect_right(seen, value)
-        edges.extend((value - 1, w - 1) for w in seen[at:])
+        v = value - 1
+        row = adj[v]
+        for w in seen[at:]:
+            row.append(w - 1)
+            adj[w - 1].append(v)
         seen.insert(at, value)
-    return Graph(size, edges)
+    return Graph._of_rows(tuple(tuple(sorted(row)) for row in adj))
 
 
 # --- distance queries ---------------------------------------------------
@@ -362,7 +439,11 @@ def read_graph(text: str) -> Graph:
     for u, v in edges:
         if not u < v:
             raise GraphError(f"edge lines must have u < v, got {u} {v}")
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if g.m != m:  # Graph drops a repeated line; the header counted it
+        raise GraphError(f"header claims {m} edges, found {g.m} distinct "
+                         f"ones: an edge line repeats")
+    return g
 
 
 def write_intervals(rep: IntervalRepresentation) -> str:

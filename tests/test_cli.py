@@ -206,6 +206,12 @@ class TestGreedyAndExact:
             f"of {graph_module._MAX_READ_ORDER}\n"
         )
 
+    def test_repeated_edge_line_is_malformed(self, tmp_path, capsys):
+        dup = tmp_path / "dup.graph"
+        dup.write_text("3 2\n0 1\n0 1\n")
+        assert main(["greedy", "--graph", str(dup)]) == 2
+        assert "an edge line repeats" in capsys.readouterr().err
+
     def test_oversized_masks_exhaust_before_search(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from burnkit import graph as graph_module
+from burnkit.grid import GridSpec, burn_grid_2approx
 from burnkit.errors import GraphError
 from burnkit.graph import (
     _MAX_READ_ORDER,
@@ -28,6 +30,9 @@ from burnkit.graph import (
     write_graph,
     write_intervals,
 )
+from burnkit.interval_reduction import construct_ig
+from burnkit.partition import ThreePartitionInstance
+from burnkit.permutation_reduction import construct_px
 
 
 class TestGraphBasics:
@@ -43,6 +48,21 @@ class TestGraphBasics:
             Graph(0, [])
         with pytest.raises(GraphError):
             Graph(3, [(1, 1)])
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0, 1.5)]),
+        (3, [(0, 1.0)]),
+        (2.5, [(0, 1)]),
+        ("3", [(0, 1)]),
+        (3, [(0, "1")]),
+        (3, [(0, 1, 2)]),
+        (3, [(0,)]),
+        (3, [5]),
+        (3, None),
+    ])
+    def test_non_integer_input_is_a_graph_error(self, n, edges):
+        with pytest.raises(GraphError, match="integer"):
+            Graph(n, edges)
 
     def test_equality_ignores_edge_order(self):
         a = Graph(3, [(0, 1), (1, 2)])
@@ -118,6 +138,100 @@ class TestBuilders:
         for perm in perms:
             g = build_permutation_graph(len(perm), perm)
             assert g == pairwise(perm), perm
+
+
+def _rebuilt(g):
+    """The same graph through the validating constructor."""
+    return Graph(g.n, list(g.edges()))
+
+
+def _trusted_corpus():
+    """Every generator's graph, on the inputs the identity check covers."""
+    for rows in range(1, 31):
+        for cols in range(1, 31):
+            yield build_grid(rows, cols)
+    for n in range(1, 501):
+        yield build_path(n)
+    for spine in range(1, 40):
+        yield build_comb(spine)
+    rng = random.Random(1515)
+    forests = [[1], [2], [1, 1], [1, 1, 1], [1, 2], [2, 1], [3, 1, 2],
+               [1, 5, 1], [7], [1] * 9]
+    forests += [[rng.randint(1, 6) for _ in range(rng.randint(1, 12))]
+                for _ in range(120)]
+    for lengths in forests:
+        yield build_path_forest(lengths)
+    for _ in range(150):
+        n = rng.randint(1, 45)
+        spans = []
+        for _ in range(n):
+            lo = rng.randint(0, 40)
+            spans.append((lo, lo + rng.randint(0, 9)))
+        yield build_interval_graph(IntervalRepresentation(tuple(spans)))
+    for _ in range(150):
+        perm = list(range(1, rng.randint(1, 45) + 1))
+        rng.shuffle(perm)
+        yield build_permutation_graph(len(perm), perm)
+
+
+class TestTrustedRows:
+    """Generators skip Graph's checks; their graphs must not tell."""
+
+    def test_generators_match_the_validating_constructor(self):
+        count = 0
+        for g in _trusted_corpus():
+            want = _rebuilt(g)
+            assert g.adjacency == want.adjacency, g
+            assert g.m == want.m and hash(g) == hash(want), g
+            assert type(g.adjacency) is tuple
+            assert all(type(row) is tuple for row in g.adjacency)
+            count += 1
+        assert count == 900 + 500 + 39 + 130 + 150 + 150
+
+    def test_generators_bypass_the_validating_constructor(self, monkeypatch):
+        def refuse(self, n, edges):
+            raise RuntimeError("validating constructor called")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        instance = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
+        graphs = [
+            build_path(7), build_grid(4, 5), build_path_forest([3, 1, 2]),
+            build_comb(6),
+            build_interval_graph(IntervalRepresentation(((0, 2), (2, 4)))),
+            build_permutation_graph(3, [3, 1, 2]),
+            construct_ig(instance).graph, construct_px(instance).graph,
+        ]
+        assert [g.m for g in graphs[:6]] == [6, 31, 3, 9, 1, 2]
+        report = burn_grid_2approx(GridSpec(6, 6))
+        assert report.rounds_used == len(report.schedule)
+        # the untrusted paths still reach the validating constructor
+        with pytest.raises(RuntimeError, match="validating"):
+            Graph(2, [(0, 1)])
+        with pytest.raises(RuntimeError, match="validating"):
+            read_graph("2 1\n0 1\n")
+
+    def test_interval_graph_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(88)
+        for _ in range(80):
+            spans: set[tuple[int, int]] = set()
+            for _ in range(rng.randint(1, 30)):
+                lo = rng.randint(0, 30)
+                spans.add((lo, lo + rng.randint(0, 6)))
+            # endpoints that only touch: [a, b] and [b, c] meet at b
+            lo, hi = rng.choice(sorted(spans))
+            spans.add((hi, hi + rng.randint(0, 4)))
+            spans.add((lo - rng.randint(0, 3), lo))
+            ordered = list(spans)  # distinct, so an interval names one id
+            rng.shuffle(ordered)
+            g = build_interval_graph(IntervalRepresentation(tuple(ordered)))
+            ident = {span: i for i, span in enumerate(ordered)}
+            h = nx.interval_graph(ordered)
+            assert sorted(ident[s] for s in h.nodes) == list(range(g.n))
+            want = sorted(
+                tuple(sorted((ident[a], ident[b]))) for a, b in h.edges
+            )
+            assert list(g.edges()) == want
 
 
 class TestDistances:
@@ -255,13 +369,23 @@ class TestSerialization:
         with pytest.raises(GraphError):
             read_graph("2 1\n0 5\n")
 
+    def test_repeated_edge_line_is_refused(self):
+        # Graph keeps one copy, so the header's count would not hold
+        with pytest.raises(GraphError, match="repeats"):
+            read_graph("3 2\n0 1\n0 1\n")
+        with pytest.raises(GraphError, match="repeats"):
+            read_graph("4 3\n0 1\n2 3\n0 1\n")
+        g = read_graph("3 2\n0 1\n1 2\n")
+        assert g.m == 2 and read_graph(write_graph(g)) == g
+
     def test_oversized_header_is_refused_before_allocation(self, monkeypatch):
         def built(n, edges):
-            return ("built", n, list(edges))
+            edges = list(edges)
+            return SimpleNamespace(n=n, edges=edges, m=len(edges))
 
         monkeypatch.setattr(graph_module, "Graph", built)
         at_limit = read_graph(f"{_MAX_READ_ORDER} 0\n")
-        assert at_limit == ("built", _MAX_READ_ORDER, [])
+        assert (at_limit.n, at_limit.edges) == (_MAX_READ_ORDER, [])
         for n in (_MAX_READ_ORDER + 1, 10_000_000_000):
             with pytest.raises(GraphError, match="exceeds the limit"):
                 read_graph(f"{n} 0\n")
