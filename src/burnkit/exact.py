@@ -29,15 +29,16 @@ way of covering it, meaning every still-unused radius r paired with
 every center whose radius-r ball reaches the vertex.  Coverage state
 is a bitmask, so candidate gains are popcounts.
 
-Three devices keep either tree small: a counting prune (the sizes or
-radii left can cover at most the sum of their largest balls, so a node
-whose uncovered part is bigger is dead), a dominance rule (bin
-covering's exact fit; in the generic search, a larger radius offering
-the same restricted gain as a smaller one at the same center is never
-tried: swapping the two radii between centers can only grow coverage),
-and memoization of refuted states, which collapses placements that
-merely permute each other.  Both count one node per visit against one
-node budget shared by the whole ladder of attempted k.
+Both searches share one driver, _drive, and differ in their move
+rules.  The driver owns the explicit stack and backtracking, the node
+count against one budget shared by the whole ladder of attempted k,
+and the memo of refuted states, which collapses placements that merely
+permute each other.  Each move rule prunes by counting (the sizes or
+radii left cover at most the sum of their largest balls, so no move
+leaves more uncovered) and by dominance (bin covering's exact fit; in
+the generic search, a larger radius offering the same restricted gain
+as a smaller one at the same center is never tried: swapping the two
+radii between centers can only grow coverage).
 """
 
 from __future__ import annotations
@@ -189,57 +190,18 @@ def _realize(g: Graph, planned: list[int | None]) -> list[int]:
     return schedule
 
 
-def _cover_moves(profile: _Profile, mb: list[int], uncovered: int,
-                 available: list[int], cap: int, count: int, active: int
-                 ) -> list[tuple[int, int, int, int]]:
-    """Pick the target vertex and list its moves, best last.
+def _drive(root: tuple, moves_of, child, used: int,
+           limit: int) -> tuple[list[tuple] | None, int]:
+    """The (key, chosen move) pairs from root to a goal, or None once
+    every branch has failed, and used plus one per node visited.
 
-    A move is (-gain, radius, centre, ball).  The target stays in the
-    component just worked on (active) while any of it is uncovered: any
-    target keeps the branching complete and the memo is target-independent,
-    so this only steers the order."""
-    order = profile.order
-    rows = profile.masks
-    pool = uncovered & active or uncovered
-    tbit = pool & -pool
-    target = order[tbit.bit_length() - 1]
-    trow = rows[target]
-    rmax = available[-1]
-    candidates = trow[rmax] if rmax < len(trow) else trow[-1]
-    moves: list[tuple[int, int, int, int]] = []
-    while candidates:
-        low = candidates & -candidates
-        v = order[low.bit_length() - 1]
-        candidates ^= low
-        vrow = rows[v]
-        stored = len(vrow)
-        last_gain = 0
-        for r in available:
-            mask = vrow[r] if r < stored else vrow[-1]
-            if not mask & tbit:
-                continue
-            gain = (mask & uncovered).bit_count()
-            if gain > last_gain:
-                # a bigger radius with no extra gain is dominated:
-                # swapping the radii with its eventual user only helps
-                if gain + cap - mb[r] >= count:
-                    moves.append((-gain, r, v, mask))
-                last_gain = gain
-    moves.sort(reverse=True)
-    return moves
-
-
-def _search(profile: _Profile, k: int, used: int,
-            limit: int) -> tuple[BurningSchedule | None, int]:
-    """A k-round schedule or None, and used plus one per node visited."""
-    mb = [profile.maxball_at(r) for r in range(k)]
-    comp_mask = profile.comp_mask
-    failed: set[tuple[int, int]] = set()
-    free: dict[int, list[int]] = {}  # radii mask -> its radii, ascending
-    # open nodes: ((uncovered, radii), cap, moves), each trying moves[-1]
-    stack: list[tuple[tuple[int, int], int, list]] = []
-    uncovered, radii = (1 << profile.graph.n) - 1, (1 << k) - 1
-    cap, active = profile.caps[k - 1], 0
+    A state is a (key, hint) pair.  moves_of(key, hint) lists the moves,
+    the first to try last, or is None at a goal; child(key, move) is the
+    next state.  Up to _MEMO_CAP refuted keys are remembered; the hint
+    only steers the moves, so it stays out of the memo."""
+    failed: set = set()
+    stack: list[tuple] = []  # open (key, moves) nodes, each on moves[-1]
+    key, hint = root
     while True:
         used += 1
         if used > limit:
@@ -247,27 +209,19 @@ def _search(profile: _Profile, k: int, used: int,
                 f"search budget of {limit} nodes exhausted",
                 nodes_explored=used,
             )
-        if not uncovered:
-            planned: list[int | None] = [None] * k
-            for *_, moves in stack:
-                _, r, v, _ = moves[-1]
-                planned[k - 1 - r] = v  # radius r acts in round k - r
-            return BurningSchedule.of(_realize(profile.graph, planned)), used
-        count = uncovered.bit_count()
         moves = ()
-        if count <= cap and (key := (uncovered, radii)) not in failed:
-            if radii not in free:
-                free[radii] = [r for r in range(k) if radii >> r & 1]
-            moves = _cover_moves(profile, mb, uncovered, free[radii], cap,
-                                 count, active)
+        if key not in failed:
+            moves = moves_of(key, hint)
+            if moves is None:
+                return [(node, tried[-1]) for node, tried in stack], used
             if not moves and len(failed) < _MEMO_CAP:
                 failed.add(key)
         if moves:
-            stack.append((key, cap, moves))
+            stack.append((key, moves))
         else:
             # the move that led here failed; a node out of moves fails too
             while stack:
-                key, cap, moves = stack[-1]
+                key, moves = stack[-1]
                 moves.pop()
                 if moves:
                     break
@@ -276,12 +230,75 @@ def _search(profile: _Profile, k: int, used: int,
                     failed.add(key)
             else:
                 return None, used
-            uncovered, radii = key
-        _, r, v, mask = moves[-1]
-        uncovered &= ~mask
-        radii ^= 1 << r
-        cap -= mb[r]
-        active = comp_mask[v]  # a centre shares its target's component
+        key, hint = child(key, moves[-1])
+
+
+def _search(profile: _Profile, k: int, used: int,
+            limit: int) -> tuple[BurningSchedule | None, int]:
+    """A k-round schedule or None, and used plus one per node visited.
+    A key is (uncovered, radii), both bitmasks."""
+    mb = [profile.maxball_at(r) for r in range(k)]
+    order, rows, comp_mask = profile.order, profile.masks, profile.comp_mask
+    # radii mask -> its radii, ascending, and the most vertices they cover
+    free: dict[int, tuple[list[int], int]] = {}
+
+    def moves_of(key: tuple[int, int], active: int) -> list | None:
+        """Pick the target vertex and list its moves, best last.
+
+        A move is (-gain, radius, centre, ball).  The target stays in the
+        component just worked on (the hint, active) while any of it is
+        uncovered: any target keeps the branching complete and the memo
+        is target-independent, so this only steers the order."""
+        uncovered, radii = key
+        if not uncovered:
+            return None
+        if radii not in free:
+            available = [r for r in range(k) if radii >> r & 1]
+            free[radii] = available, sum(mb[r] for r in available)
+        available, cap = free[radii]
+        # count <= cap always: true at the root, and every move keeps it
+        count = uncovered.bit_count()
+        pool = uncovered & active or uncovered
+        tbit = pool & -pool
+        target = order[tbit.bit_length() - 1]
+        trow = rows[target]
+        rmax = available[-1]
+        candidates = trow[rmax] if rmax < len(trow) else trow[-1]
+        moves: list[tuple[int, int, int, int]] = []
+        while candidates:
+            low = candidates & -candidates
+            v = order[low.bit_length() - 1]
+            candidates ^= low
+            vrow = rows[v]
+            stored = len(vrow)
+            last_gain = 0
+            for r in available:
+                mask = vrow[r] if r < stored else vrow[-1]
+                if not mask & tbit:
+                    continue
+                gain = (mask & uncovered).bit_count()
+                if gain > last_gain:
+                    # a bigger radius with no extra gain is dominated:
+                    # swapping the radii with its eventual user only helps
+                    if gain + cap - mb[r] >= count:
+                        moves.append((-gain, r, v, mask))
+                    last_gain = gain
+        moves.sort(reverse=True)
+        return moves
+
+    def child(key: tuple[int, int], move: tuple) -> tuple:
+        (uncovered, radii), (_, r, v, mask) = key, move
+        # a centre shares its target's component
+        return (uncovered & ~mask, radii ^ 1 << r), comp_mask[v]
+
+    root = ((1 << profile.graph.n) - 1, (1 << k) - 1), 0
+    chosen, used = _drive(root, moves_of, child, used, limit)
+    if chosen is None:
+        return None, used
+    planned: list[int | None] = [None] * k
+    for _, (_, r, v, _) in chosen:
+        planned[k - 1 - r] = v  # radius r acts in round k - r
+    return BurningSchedule.of(_realize(profile.graph, planned)), used
 
 
 def _path_forest(g: Graph) -> list[list[int]] | None:
@@ -311,80 +328,61 @@ def _cover_paths(g: Graph, paths: list[list[int]], k: int, used: int,
     per node visited.
 
     The sizes 2k - 1, ..., 3, 1 are split into one group per path, each
-    summing to at least the path's order.  A node is (r, unmet demands),
-    its moves the distinct demands size 2r + 1 can go to, largest tried
-    first.  Demands are (demand, paths with it) pairs, ascending, so a
-    node costs the distinct demands, not the paths.
+    summing to at least the path's order.  A node's key is (r, unmet
+    demands), its moves the distinct demands size 2r + 1 can go to,
+    largest tried first.  Demands are (demand, paths with it) pairs,
+    ascending, so a node costs the distinct demands, not the paths; its
+    hint is the same demands as a dict, built once by the child step.
     """
-    failed: set[tuple[int, tuple]] = set()
-    # open nodes: ((r, demands), moves), each giving its size to moves[-1]
-    stack: list[tuple[tuple[int, tuple], list[int]]] = []
-    counts: dict[int, int] = {}  # the node's demands as a dict
-    for path in paths:
-        counts[len(path)] = counts.get(len(path), 0) + 1
-    r, demands = k - 1, tuple(sorted(counts.items()))
-    while True:
-        used += 1
-        if used > limit:
-            raise BudgetExceededError(
-                f"search budget of {limit} nodes exhausted",
-                nodes_explored=used,
-            )
+
+    def moves_of(key: tuple[int, tuple], counts: dict) -> list | None:
+        r, demands = key
         if not demands:
-            # give each open node's size to a path with the demand it
-            # chose, laying each path's balls end to end, largest first
-            planned: list[int | None] = [None] * k
-            start = [0] * len(paths)  # each path's first uncovered vertex
-            waiting: dict[int, list[int]] = {}  # demand -> paths with it
-            for j, path in enumerate(paths):
-                waiting.setdefault(len(path), []).append(j)
-            for (r, _), moves in stack:
-                path = paths[j := waiting[moves[-1]].pop()]
-                planned[k - 1 - r] = path[min(start[j] + r, len(path) - 1)]
-                start[j] += 2 * r + 1
-                if start[j] < len(path):
-                    waiting.setdefault(len(path) - start[j], []).append(j)
-            return BurningSchedule.of(_realize(g, planned)), used
-        moves = []
-        if (key := (r, demands)) not in failed:
-            size = 2 * r + 1
-            if size in counts:
-                # an exact fit dominates: whichever path the size would
-                # go to instead can take this path's later sizes
-                moves = [size]
-            else:
-                # the counting prune, one level ahead (both callers' lower
-                # bound covers the root): the smaller sizes sum to r * r,
-                # so this one may overshoot its path by the slack at most,
-                # and it must close a path if as many are open as sizes left
-                low = size - (r + 1) ** 2 + sum(d * c for d, c in demands)
-                high = size if sum(counts.values()) > r else demands[-1][0]
-                moves = [d for d, _ in demands if low <= d <= high]
-            if not moves and len(failed) < _MEMO_CAP:
-                failed.add(key)
-        if moves:
-            stack.append((key, moves))
-        else:
-            # the move that led here failed; a node out of moves fails too
-            while stack:
-                key, moves = stack[-1]
-                moves.pop()
-                if moves:
-                    break
-                stack.pop()
-                if len(failed) < _MEMO_CAP:
-                    failed.add(key)
-            else:
-                return None, used
-            r, demands = key
-        d = moves[-1]
+            return None
+        size = 2 * r + 1
+        if size in counts:
+            # an exact fit dominates: whichever path the size would
+            # go to instead can take this path's later sizes
+            return [size]
+        # the counting prune, one level ahead (both callers' lower
+        # bound covers the root): the smaller sizes sum to r * r,
+        # so this one may overshoot its path by the slack at most,
+        # and it must close a path if as many are open as sizes left
+        low = size - (r + 1) ** 2 + sum(d * c for d, c in demands)
+        high = size if sum(counts.values()) > r else demands[-1][0]
+        return [d for d, _ in demands if low <= d <= high]
+
+    def child(key: tuple[int, tuple], d: int) -> tuple:
+        r, demands = key
         counts = dict(demands)
         counts[d] -= 1
         if not counts[d]:
             del counts[d]
         if d > 2 * r + 1:
             counts[d - 2 * r - 1] = counts.get(d - 2 * r - 1, 0) + 1
-        r, demands = r - 1, tuple(sorted(counts.items()))
+        return (r - 1, tuple(sorted(counts.items()))), counts
+
+    counts: dict[int, int] = {}
+    for path in paths:
+        counts[len(path)] = counts.get(len(path), 0) + 1
+    root = (k - 1, tuple(sorted(counts.items()))), counts
+    chosen, used = _drive(root, moves_of, child, used, limit)
+    if chosen is None:
+        return None, used
+    # give each chosen size to a path with the demand it chose, laying
+    # each path's balls end to end, largest first
+    planned: list[int | None] = [None] * k
+    start = [0] * len(paths)  # each path's first uncovered vertex
+    waiting: dict[int, list[int]] = {}  # demand -> paths with it
+    for j, path in enumerate(paths):
+        waiting.setdefault(len(path), []).append(j)
+    for (r, _), d in chosen:
+        path = paths[j := waiting[d].pop()]
+        planned[k - 1 - r] = path[min(start[j] + r, len(path) - 1)]
+        start[j] += 2 * r + 1
+        if start[j] < len(path):
+            waiting.setdefault(len(path) - start[j], []).append(j)
+    return BurningSchedule.of(_realize(g, planned)), used
 
 
 def _generic_ladder(
@@ -418,6 +416,7 @@ def can_burn_in(
     """
     if k < 1:
         return None
+    k = min(k, g.n)  # no schedule has more than n sources
     if (paths := _path_forest(g)) is not None:
         if k < max(len(paths), ceil_sqrt(g.n)):
             return None

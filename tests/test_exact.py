@@ -102,6 +102,14 @@ class TestCanBurnIn:
         assert witness is not None and len(witness) <= 8
         assert simulate(g, witness).complete
 
+    def test_huge_k_costs_no_more_than_n(self):
+        # no schedule has more than n sources, so k is cut to n before
+        # bin covering plans one centre per round
+        g = build_path(9)
+        witness = can_burn_in(g, 2**62)
+        assert witness is not None and len(witness) <= 9
+        assert simulate(g, witness).complete
+
     @pytest.mark.parametrize("g", [
         build_grid(10, 10), build_comb(12), build_path_forest([7, 3, 5, 1]),
     ])
@@ -397,6 +405,26 @@ class TestBudget:
             exact_burning_number(g, node_budget=11)
         assert str(exc.value) == "search budget of 11 nodes exhausted"
         assert exc.value.nodes_explored == 12
+
+
+class TestMemo:
+    @pytest.mark.parametrize("make,search,nodes,uncached", [
+        (lambda: build_comb(20), exact_burning_number, 309, 327),
+        (lambda: build_path_forest([5, 6, 6, 12, 7, 11]),
+         exact._generic_ladder, 34, 40),
+        (lambda: build_path_forest([4, 13, 35, 34, 39, 19]),
+         exact_burning_number, 87, 96),
+    ])
+    def test_no_memo_gives_the_same_answer(self, make, search, nodes,
+                                           uncached, monkeypatch):
+        # a refuted state holds no goal, so forgetting it only costs
+        # nodes: k and the witness stay
+        g = make()
+        res = search(g)
+        monkeypatch.setattr(exact, "_MEMO_CAP", 0)
+        capped = search(g)
+        assert (capped.k, capped.witness) == (res.k, res.witness)
+        assert (res.nodes_explored, capped.nodes_explored) == (nodes, uncached)
 
 
 class TestLargerInstances:
