@@ -19,8 +19,8 @@ from .graph import (
     Graph,
     ball,
     ball_distances,
+    center_and_diameter,
     connected_components,
-    radical_center,
 )
 
 Cluster = frozenset[int]
@@ -195,23 +195,29 @@ def greedy_burn(g: Graph) -> BurningSchedule:
     it takes over, not the graph.  The schedule is checked with simulate
     before it is returned.
     """
-    largest = min(connected_components(g), key=lambda c: (-len(c), c[0]))
-    return _greedy_from(g, radical_center(g, largest))
+    return _greedy_census(g)[0]
 
 
-def _greedy_from(g: Graph, first: int) -> BurningSchedule:
-    """greedy_burn's farthest-first run from a given first source.
+def _greedy_census(
+    g: Graph,
+) -> tuple[BurningSchedule, list[list[int]], list[int], int]:
+    """greedy_burn(g), with the components, the largest one (the first
+    of the most vertices) and its diameter, all found on the way.
 
-    burns_at[v] is the round in which v catches fire given the sources
-    so far.  It starts at 2n + 2, above every real burn time, so the
-    vertices no source reaches stay tied there.  Each later round lights
-    the first vertex of latest burn time, the smallest id on ties, and
-    the run ends once everything burns by the current round.
+    The largest component's centre is the first source.  burns_at[v] is
+    the round in which v catches fire given the sources so far.  It
+    starts at 2n + 2, above every real burn time, so the vertices no
+    source reaches stay tied there.  Each later round lights the first
+    vertex of latest burn time, the smallest id on ties, and the run
+    ends once everything burns by the current round.
     """
+    components = connected_components(g)
+    largest = min(components, key=lambda c: (-len(c), c[0]))
+    x, diameter = center_and_diameter(g, largest)
     adj = g.adjacency
     burns_at = [2 * g.n + 2] * g.n
     sources = []
-    x, t = first, 1
+    t = 1
     while True:
         sources.append(x)
         burns_at[x] = t
@@ -236,7 +242,7 @@ def _greedy_from(g: Graph, first: int) -> BurningSchedule:
     sched = BurningSchedule.of(sources)
     if not simulate(g, sched).complete:
         raise InternalError("greedy schedule does not burn the whole graph")
-    return sched
+    return sched, components, largest, diameter
 
 
 def assert_agreement(

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .exact import DEFAULT_NODE_BUDGET, exact_burning_number
 from .graph import (
+    _MAX_READ_ORDER,
     build_grid,
     build_interval_graph,
     build_path,
@@ -103,6 +104,14 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_order(n: int, what: str) -> None:
+    """Refuse, before anything is built, a graph of more vertices than
+    read_graph accepts."""
+    if n > _MAX_READ_ORDER:
+        raise InputError(f"{what} of {n} vertices exceeds the limit of "
+                         f"{_MAX_READ_ORDER}")
+
+
 def _triples_text(partition) -> str:
     return "; ".join(" ".join(str(a) for a in t) for t in partition.triples)
 
@@ -117,11 +126,25 @@ def _gen_forest(args: argparse.Namespace):
             raise InputError(
                 f"--max-len must be at least 1, got {args.max_len}"
             )
+        # every drawn length is at least 1
+        _check_order(args.random, "forest")
         rng = random.Random(args.seed)
         lengths.extend(
             rng.randint(1, args.max_len) for _ in range(args.random)
         )
+    _check_order(sum(lengths), "forest")
     return build_path_forest(lengths)
+
+
+def _gen_path(args: argparse.Namespace):
+    _check_order(args.n, "path")
+    return build_path(args.n)
+
+
+def _gen_grid(args: argparse.Namespace):
+    if args.rows > 0 and args.cols > 0:  # build_grid refuses the rest
+        _check_order(args.rows * args.cols, "grid")
+    return build_grid(args.rows, args.cols)
 
 
 def _gen_pg(args: argparse.Namespace):
@@ -134,8 +157,8 @@ def _gen_ig(args: argparse.Namespace):
 
 
 _FAMILIES = {
-    "path": lambda args: build_path(args.n),
-    "grid": lambda args: build_grid(args.rows, args.cols),
+    "path": _gen_path,
+    "grid": _gen_grid,
     "forest": _gen_forest,
     "pg": _gen_pg,
     "ig": _gen_ig,
@@ -214,6 +237,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         if args.jobs is not None and args.jobs < 1:
             raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         specs = [GridSpec(side, side) for side in args.sweep]
+        for spec in specs:
+            _check_order(spec.n, "grid")
         # imported here: only the sweep starts workers
         from concurrent.futures import ProcessPoolExecutor
 
@@ -232,7 +257,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         return OK
     if args.rows is None or args.cols is None:
         raise InputError("grid needs --rows and --cols (or --sweep)")
-    report = burn_grid_2approx(GridSpec(args.rows, args.cols))
+    spec = GridSpec(args.rows, args.cols)
+    _check_order(spec.n, "grid")
+    report = burn_grid_2approx(spec)
     if args.out:
         _write(args.out, write_schedule(report.schedule))
     upper = report.upper_bound
@@ -269,6 +296,7 @@ class _Gadget:
 
     noun: str
     construct: Callable[[Any], Any]
+    order: Callable[[int], int]  # vertices, given the largest element m
     forward: Callable[[Any, Any], Any]
     reverse: Callable[[Any, Any], Any]
     emits: tuple[tuple[str, Callable[[Any], str]], ...]  # --emit-NAME
@@ -287,6 +315,7 @@ def _gadget_table() -> dict[str, _Gadget]:
         "ig": _Gadget(
             noun="interval",
             construct=construct_ig,
+            order=lambda m: 7 * m * m + 6 * m,
             forward=partition_to_schedule,
             reverse=schedule_to_partition,
             emits=(
@@ -302,6 +331,7 @@ def _gadget_table() -> dict[str, _Gadget]:
         "pg": _Gadget(
             noun="permutation",
             construct=construct_px,
+            order=lambda m: m * m,
             forward=partition_to_schedule_pg,
             reverse=schedule_to_partition_pg,
             emits=(
@@ -317,11 +347,19 @@ def _gadget_table() -> dict[str, _Gadget]:
     }
 
 
+def _construct(gadget: _Gadget, inst):
+    """The gadget of inst, refused before it is built if too large."""
+    # a nonpositive m leaves the refusal to the instance check
+    _check_order(gadget.order(max((0, *inst.elements))),
+                 f"{gadget.noun} gadget")
+    return gadget.construct(inst)
+
+
 def _cmd_reduce(args: argparse.Namespace) -> int:
     gadget = _gadget_table()[args.kind]
     inst = read_instance(_read(args.infile))
     budget = _budget(args) if args.witness else None  # before any write
-    art = gadget.construct(inst)
+    art = _construct(gadget, inst)
     for name, writer in gadget.emits:
         path = getattr(args, f"emit_{name}")
         if path:
@@ -354,7 +392,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     gadget = _gadget_table()[args.kind]
     inst = read_instance(_read(args.artifact))
-    art = gadget.construct(inst)
+    art = _construct(gadget, inst)
     sched = read_schedule(_read(args.schedule))
     partition = gadget.reverse(art, sched)
     payload = {"triples": [list(t) for t in partition.triples]}

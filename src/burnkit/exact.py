@@ -10,8 +10,10 @@ unburnt vertex wherever no live center is planned (a planned center the
 fire already reached is covered by the front anyway, so nothing is
 lost).
 
-exact_burning_number and can_burn_in first ask whether the graph is a
-path forest (every degree at most 2, no cycle).  A path forest burns in
+exact_burning_number and can_burn_in are one ladder, _ladder, over
+k = low, ..., high: exact_burning_number climbs from 1 to the first k
+that works, can_burn_in tries its k alone.  The ladder picks its search
+once.  A path forest (every degree at most 2, no cycle) burns in
 k rounds iff the odd sizes 1, 3, ..., 2k - 1 split into one group per
 path, each group summing to at least the path's order: a radius-r ball
 covers at most 2r + 1 vertices of a path, and balls laid end to end
@@ -23,35 +25,37 @@ once, and a demand equal to the size is the only move tried (the path
 that would have taken the size can take this path's later ones).
 
 Every other graph, cycles included, takes the generic cover search,
-where a node places one radius at one centre.  Branching follows the
-exact-cover pattern: take the smallest uncovered vertex, and try every
-way of covering it, meaning every still-unused radius r paired with
-every center whose radius-r ball reaches the vertex.  Coverage state
-is a bitmask, so candidate gains are popcounts.
+after greedy: a greedy schedule that fits in the ladder's first k
+answers at once, and otherwise caps the ladder below its length and
+answers if no k works.  A node there places one radius at one centre.
+Branching follows the exact-cover pattern: take the smallest uncovered
+vertex, and try every way of covering it, meaning every still-unused
+radius r paired with every center whose radius-r ball reaches the
+vertex.  Coverage state is a bitmask, so candidate gains are popcounts.
 
-Both searches share one driver, _drive, and differ in their move
-rules.  The driver owns the explicit stack and backtracking, the node
-count against one budget shared by the whole ladder of attempted k,
-and the memo of refuted states, which collapses placements that merely
-permute each other.  Each move rule prunes by counting (the sizes or
-radii left cover at most the sum of their largest balls, so no move
-leaves more uncovered) and by dominance (bin covering's exact fit; in
-the generic search, a larger radius offering the same restricted gain
-as a smaller one at the same center is never tried: swapping the two
-radii between centers can only grow coverage).
+Both searches share one driver, _drive, and differ in their move rules.
+The driver owns the explicit stack and backtracking, the node count
+against the one budget of the whole ladder, and the memo of refuted
+states, which collapses placements that merely permute each other.  Each
+move rule prunes by counting (the sizes or radii left cover at most the
+sum of their largest balls, so no move leaves more uncovered) and by
+dominance (bin covering's exact fit; in the generic search, a larger
+radius offering the same restricted gain as a smaller one at the same
+center is never tried: swapping the two radii between centers can only
+grow coverage).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from operator import or_
 
-from .burning import BurningSchedule, _greedy_from, _walk_fire
+from .burning import BurningSchedule, _greedy_census, _walk_fire
 from .errors import BudgetExceededError, InternalError
-from .graph import Graph, center_and_diameter, connected_components
+from .graph import Graph, center_and_diameter, path_forest
 from .intmath import ceil_sqrt
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -81,15 +85,15 @@ class _Profile:
     vertex first.  Balls grow by union, ball_{r+1}(v) = ball_r(v) |
     ball_r(w) over neighbours w, so no BFS runs per vertex: each
     component's diameter comes from one graph.center_and_diameter call,
-    the largest's from the greedy bound's.
+    the largest's from greedy's census.
 
     maxball[r], the largest radius-r ball, is exact through radius_cap + 1
     and past it overstated as the largest component.  caps[j], the most
     vertices balls of radii 0..j can cover, is kept through radius_cap,
     so the coverage bound reads radius_cap + 2 wherever it is larger.
-    That is enough: exact_burning_number (radius_cap = ub - 2) reads radii
-    below ub, and can_burn_in (radius_cap = k - 1) decides
-    k < lower_bound() on exact values through radius k.
+    That is enough: the ladder up to k = high (radius_cap = high - 1)
+    reads radii below high, and lower_bound() is exact wherever it is
+    at most high.
 
     Masks take up to n bits for each vertex and stored radius; a graph
     whose masks could pass _MAX_MASK_BITS is refused with
@@ -152,17 +156,6 @@ class _Profile:
         # (2k - 1) + (2k - 3) + ... + 1 = k**2 of its diam + 1 vertices
         return max(len(self.components), ceil_sqrt(max(self.diameters) + 1),
                    bisect_left(self.caps, self.graph.n) + 1)
-
-
-def _greedy_bound(
-    g: Graph,
-) -> tuple[BurningSchedule, list[list[int]], list[int], int]:
-    """greedy_burn(g), with the components, the largest one and its
-    diameter that it finds on the way."""
-    components = connected_components(g)
-    largest = min(components, key=lambda c: (-len(c), c[0]))
-    centre, diameter = center_and_diameter(g, largest)
-    return _greedy_from(g, centre), components, largest, diameter
 
 
 def _realize(g: Graph, planned: list[int | None]) -> list[int]:
@@ -301,27 +294,6 @@ def _search(profile: _Profile, k: int, used: int,
     return BurningSchedule.of(_realize(profile.graph, planned)), used
 
 
-def _path_forest(g: Graph) -> list[list[int]] | None:
-    """g's components as vertex lists in path order, or None unless g is
-    a path forest: every degree at most 2 and no cycle (a cycle has no
-    end, so the walks from the ends miss it)."""
-    adj = g.adjacency
-    if any(len(a) > 2 for a in adj):
-        return None
-    paths: list[list[int]] = []
-    ends: set[int] = set()  # far ends of the paths walked so far
-    for s in range(g.n):
-        if len(adj[s]) == 2 or s in ends:
-            continue
-        path, prev = [s], -1
-        while ahead := [w for w in adj[path[-1]] if w != prev]:
-            prev = path[-1]
-            path.append(ahead[0])
-        ends.add(path[-1])
-        paths.append(path)
-    return paths if sum(map(len, paths)) == g.n else None
-
-
 def _cover_paths(g: Graph, paths: list[list[int]], k: int, used: int,
                  limit: int) -> tuple[BurningSchedule | None, int]:
     """A k-round schedule of the path forest g or None, and used plus one
@@ -344,7 +316,7 @@ def _cover_paths(g: Graph, paths: list[list[int]], k: int, used: int,
             # an exact fit dominates: whichever path the size would
             # go to instead can take this path's later sizes
             return [size]
-        # the counting prune, one level ahead (both callers' lower
+        # the counting prune, one level ahead (the ladder's lower
         # bound covers the root): the smaller sizes sum to r * r,
         # so this one may overshoot its path by the slack at most,
         # and it must close a path if as many are open as sizes left
@@ -385,25 +357,54 @@ def _cover_paths(g: Graph, paths: list[list[int]], k: int, used: int,
     return BurningSchedule.of(_realize(g, planned)), used
 
 
+def _ladder(
+    g: Graph, node_budget: int, low: int, high: int,
+    paths: list[list[int]] | None,
+) -> tuple[BurningSchedule | None, int]:
+    """The first schedule found at k = low, low + 1, ..., high, and the
+    nodes spent, every attempted k sharing one node budget.
+
+    paths, g's paths when it is a path forest, picks bin covering, whose
+    ladder starts at max(components, ceil(sqrt(n))) and ends in None.
+    Any other graph takes the cover search: greedy's census comes first,
+    a greedy schedule of at most low rounds is the answer at once, the
+    ladder starts at the profile's lower bound and stops below greedy's
+    length, and ends in greedy's schedule.
+    """
+    heuristic = None
+    if paths is not None:
+        bound = max(len(paths), ceil_sqrt(g.n))
+        search = partial(_cover_paths, g, paths)
+    else:
+        heuristic, *census = _greedy_census(g)
+        if len(heuristic) <= low:
+            return heuristic, 0
+        high = min(high, len(heuristic) - 1)
+        profile = _Profile(g, *census, radius_cap=high - 1)
+        bound = profile.lower_bound()
+        search = partial(_search, profile)
+    used = 0
+    for k in range(max(low, bound), high + 1):
+        witness, used = search(k, used, node_budget)
+        if witness is not None:
+            return witness, used
+    return heuristic, used
+
+
+def _optimum(g: Graph, node_budget: int,
+             paths: list[list[int]] | None) -> ExactResult:
+    """The ladder from k = 1, whose first schedule is a minimum one: a
+    path forest's ladder reaches k = n, where every graph burns, and any
+    other graph's ends in greedy's schedule."""
+    witness, used = _ladder(g, node_budget, 1, g.n, paths)
+    return ExactResult(k=len(witness), witness=witness, nodes_explored=used)
+
+
 def _generic_ladder(
     g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExactResult:
-    """exact_burning_number by the cover search, for any graph.
-
-    A greedy run pins an upper bound; the search then climbs
-    k = lower bound, lower bound + 1, ... under one shared node budget
-    until a witness appears or the ladder meets the greedy bound.
-    """
-    heuristic, *census = _greedy_bound(g)
-    ub = len(heuristic)
-    profile = _Profile(g, *census, radius_cap=ub - 2)
-    used = 0
-    for k in range(profile.lower_bound(), ub):
-        witness, used = _search(profile, k, used, node_budget)
-        if witness is not None:
-            return ExactResult(k=len(witness), witness=witness,
-                               nodes_explored=used)
-    return ExactResult(k=ub, witness=heuristic, nodes_explored=used)
+    """exact_burning_number by the cover search, for any graph."""
+    return _optimum(g, node_budget, None)
 
 
 def can_burn_in(
@@ -417,17 +418,8 @@ def can_burn_in(
     if k < 1:
         return None
     k = min(k, g.n)  # no schedule has more than n sources
-    if (paths := _path_forest(g)) is not None:
-        if k < max(len(paths), ceil_sqrt(g.n)):
-            return None
-        return _cover_paths(g, paths, k, 0, node_budget)[0]
-    heuristic, *census = _greedy_bound(g)
-    if len(heuristic) <= k:
-        return heuristic
-    profile = _Profile(g, *census, radius_cap=k - 1)
-    if k < profile.lower_bound():
-        return None
-    return _search(profile, k, 0, node_budget)[0]
+    witness, _ = _ladder(g, node_budget, k, k, path_forest(g))
+    return witness if witness is not None and len(witness) <= k else None
 
 
 def exact_burning_number(
@@ -435,16 +427,7 @@ def exact_burning_number(
 ) -> ExactResult:
     """Smallest k admitting a complete schedule, with a verified witness.
 
-    A path forest climbs k from max(components, ceil(sqrt(n))) by bin
-    covering until a split appears; any other graph takes the cover
-    search's ladder.  Both share one node budget across their ladder.
+    A path forest climbs k by bin covering, any other graph by the cover
+    search (see _ladder); either way one node budget covers the ladder.
     """
-    if (paths := _path_forest(g)) is None:
-        return _generic_ladder(g, node_budget)
-    k, used = max(len(paths), ceil_sqrt(g.n)), 0
-    while True:
-        witness, used = _cover_paths(g, paths, k, used, node_budget)
-        if witness is not None:
-            return ExactResult(k=len(witness), witness=witness,
-                               nodes_explored=used)
-        k += 1
+    return _optimum(g, node_budget, path_forest(g))

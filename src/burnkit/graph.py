@@ -347,6 +347,28 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+def path_forest(g: Graph) -> list[list[int]] | None:
+    """g's components as vertex lists in path order, or None unless g is
+    a path forest: every degree at most 2 and no cycle (a cycle has no
+    end, so the walks from the ends miss it).  Each path starts at its
+    smaller end, and the paths come in the order of those ends."""
+    adj = g.adjacency
+    if any(len(a) > 2 for a in adj):
+        return None
+    paths: list[list[int]] = []
+    ends: set[int] = set()  # far ends of the paths walked so far
+    for s in range(g.n):
+        if len(adj[s]) == 2 or s in ends:
+            continue
+        path, prev = [s], -1
+        while ahead := [w for w in adj[path[-1]] if w != prev]:
+            prev = path[-1]
+            path.append(ahead[0])
+        ends.add(path[-1])
+        paths.append(path)
+    return paths if sum(map(len, paths)) == g.n else None
+
+
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 

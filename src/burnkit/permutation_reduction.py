@@ -23,7 +23,7 @@ with the interval gadget in gadget.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .burning import BurningSchedule
 from .errors import GraphError, InstanceError, InternalError
@@ -35,7 +35,7 @@ from .gadget import (
     place_clusters,
     read_off_partition,
 )
-from .graph import Graph, build_permutation_graph
+from .graph import build_permutation_graph, path_forest
 from .partition import Partition3, ThreePartitionInstance
 
 
@@ -131,34 +131,15 @@ def forest_permutation(
     return tuple(values), tuple(segments)
 
 
-def _component_paths(
-    g: Graph, segments: Sequence[ValueSegment]
-) -> Iterator[tuple[int, ...]]:
-    """Each segment's vertices in path order, end to end.
-
-    The walk starts at the smallest id of degree at most one in the
-    segment's range and stays in that range; on a wrong graph it may
-    stop short, which check_model then reports.
-    """
-    for seg in segments:
-        ids = range(seg.first - 1, seg.last)
-        walk = [v for v in ids if g.degree(v) <= 1][:1]
-        while walk and len(walk) < seg.size:
-            ahead = [w for w in g.neighbors(walk[-1])
-                     if w in ids and w not in walk[-2:]]
-            if len(ahead) != 1:
-                break
-            walk.append(ahead[0])
-        yield tuple(walk)
-
-
 def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
     """Build the path-forest gadget whose burning number answers X.
 
     Components: n of order 2B - 3, then the fillers in decreasing
     order, m * m vertices in total.  Vertex v stands for value v + 1,
-    so each segment's vertices are a consecutive id range.  The graph
-    is checked against the segment model by gadget.check_model.
+    so each segment's vertices are a consecutive id range.  The segment
+    paths are read off the graph by graph.path_forest, which must give
+    exactly those ranges in order, and gadget.check_model then checks
+    the graph against the segment model.
     """
     derived = derive_sets(instance)
     n = derived.n
@@ -170,10 +151,17 @@ def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
             f"permutation graph has {graph.n} vertices, not m**2 = "
             f"{derived.m**2}"
         )
+    mismatch = "permutation does not give the segment paths"
+    # path j must be value segment j: as the paths hold all m * m
+    # vertices, its smallest id and its order pin it to that range
+    paths = path_forest(graph) or []
+    if [(min(path) + 1, len(path)) for path in paths] != [
+            (seg.first, seg.size) for seg in values]:
+        raise InternalError(mismatch)
     segments = tuple(
-        Segment("block", j + 1, path) if j < n
-        else Segment("filler", j - n + 1, path)
-        for j, path in enumerate(_component_paths(graph, values))
+        Segment("block", j + 1, tuple(path)) if j < n
+        else Segment("filler", j - n + 1, tuple(path))
+        for j, path in enumerate(paths)
     )
     artifact = PermutationArtifact(
         derived=derived,
@@ -181,7 +169,7 @@ def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
         graph=graph,
         permutation=permutation,
     )
-    check_model(artifact, "permutation does not give the segment paths")
+    check_model(artifact, mismatch)
     return artifact
 
 

@@ -405,6 +405,80 @@ class TestGrid:
         assert captured.err == "error: --jobs must be at least 1, got 0\n"
 
 
+class TestSizeGuard:
+    """Graphs the CLI would build past read_graph's vertex cap are
+    refused with exit 2 before anything is drawn, built or started."""
+
+    LIMIT = graph_module._MAX_READ_ORDER
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused graph was built")
+
+        for name in ("build_path", "build_grid", "build_path_forest",
+                     "burn_grid_2approx", "construct_ig", "construct_px"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse)
+        monkeypatch.setattr(cli.random, "Random", refuse)
+
+    @pytest.mark.parametrize("argv,what,n", [
+        (["gen", "path", "--n", "1000001"], "path", 1_000_001),
+        (["gen", "grid", "--rows", "1001", "--cols", "1000"], "grid",
+         1_001_000),
+        (["gen", "forest", "--random", "1000001"], "forest", 1_000_001),
+        (["gen", "forest", "--lengths", "999999", "2"], "forest",
+         1_000_001),
+    ])
+    def test_gen(self, tmp_path, capsys, argv, what, n):
+        out = tmp_path / "g.graph"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"error: {what} of {n} vertices exceeds "
+                                f"the limit of {self.LIMIT}\n")
+
+    @pytest.mark.parametrize("argv,n", [
+        (["grid", "--rows", "1001", "--cols", "1000"], 1_001_000),
+        (["grid", "--sweep", "3", "1001"], 1_002_001),
+    ])
+    def test_grid(self, capsys, argv, n):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: grid of {n} vertices exceeds the "
+                                f"limit of {self.LIMIT}\n")
+
+    @pytest.mark.parametrize("command", [
+        "reduce-ig", "reduce-pg", "extract-ig", "extract-pg",
+    ])
+    def test_gadgets(self, tmp_path, capsys, command):
+        # B = 1,000,002: a valid instance whose gadgets hold about
+        # 7.8e11 (interval) and 1.1e11 (permutation) vertices
+        big = tmp_path / "big.txt"
+        big.write_text("333333 333334 333335\n")
+        flag = "--in" if command.startswith("reduce") else "--artifact"
+        argv = [command, flag, str(big)]
+        if command.startswith("extract"):
+            argv += ["--schedule", str(big)]
+        assert main(argv) == 2
+        noun, n = {"ig": ("interval", 7 * 333335**2 + 6 * 333335),
+                   "pg": ("permutation", 333335**2)}[command[-2:]]
+        assert capsys.readouterr().err == (
+            f"error: {noun} gadget of {n} vertices exceeds the limit of "
+            f"{self.LIMIT}\n"
+        )
+
+    def test_gadget_orders(self):
+        table = cli._gadget_table()
+        ig, pg = table["ig"].order, table["pg"].order
+        assert ig(16) == construct_ig(WORKED).graph.n == 1888
+        assert pg(16) == construct_px(WORKED).graph.n == 256
+        assert ig(377) <= self.LIMIT < ig(378)
+        assert pg(1000) <= self.LIMIT < pg(1001)
+
+
 def read_graph_for_grid(rows: int, cols: int):
     from burnkit.graph import build_grid
 

@@ -26,8 +26,8 @@ from conftest import naive_burning_number, random_graph
 
 
 def profile(g: Graph, radius_cap: int) -> _Profile:
-    """_Profile from the census the greedy bound takes, at any radius cap."""
-    _, *census = exact._greedy_bound(g)
+    """_Profile from greedy's census, at any radius cap."""
+    _, *census = burning._greedy_census(g)
     return _Profile(g, *census, radius_cap=radius_cap)
 
 
@@ -122,6 +122,44 @@ class TestCanBurnIn:
         assert len(greedy_burn(g)) > lb
         with pytest.raises(BudgetExceededError):
             can_burn_in(g, lb, node_budget=0)
+
+
+def small_graph(kind: str, n: int, seed: int) -> Graph:
+    """A seeded G(n, 0.3), random tree or random path forest on n
+    vertices; the tree's and the forest's ids are shuffled, so that no
+    path follows id order."""
+    rng = random.Random(seed)
+    if kind == "gnp":
+        return random_graph(rng, n, 0.3)
+    if kind == "tree":
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+    else:
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
+        orders = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        edges = list(build_path_forest(orders).edges())
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return Graph(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+class TestDecisionPath:
+    """can_burn_in and exact_burning_number share one ladder; can_burn_in
+    keeps its schedule only when it has at most k rounds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["gnp", "tree", "forest"]),
+           n=st.integers(1, 10), seed=st.integers(0, 2**16))
+    def test_can_burn_in_agrees_with_the_burning_number(self, kind, n, seed):
+        g = small_graph(kind, n, seed)
+        best = exact_burning_number(g).k
+        assert exact._generic_ladder(g).k == best
+        for k in range(n + 2):
+            sched = can_burn_in(g, k)
+            if k < best:
+                assert sched is None
+            else:
+                assert sched is not None and len(sched) <= k
+                assert verify_schedule(g, sched)
 
 
 class TestProfile:
@@ -308,7 +346,7 @@ class TestPathForests:
     ], ids=["cycle", "spider", "forest-plus-chord", "cycle-and-paths"])
     def test_other_graphs_take_the_generic_search(self, g, monkeypatch):
         bins = count_calls(monkeypatch, "_cover_paths", exact)
-        generic = count_calls(monkeypatch, "_greedy_bound", exact)
+        generic = count_calls(monkeypatch, "_greedy_census", burning)
         res = exact_burning_number(g)
         assert can_burn_in(g, res.k - 1) is None
         assert (len(bins), len(generic)) == (0, 2)
@@ -319,7 +357,7 @@ class TestPathForests:
             raise AssertionError("a path forest reached the generic search")
 
         bins = count_calls(monkeypatch, "_cover_paths", exact)
-        for name in ("_greedy_bound", "_Profile"):
+        for name in ("_greedy_census", "_Profile"):
             monkeypatch.setattr(exact, name, forbidden)
         monkeypatch.setattr(graph, "center_and_diameter", forbidden)
         g = build_path_forest([9, 4, 1])

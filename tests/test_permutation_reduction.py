@@ -13,7 +13,12 @@ from burnkit.errors import (
 )
 from burnkit.exact import exact_burning_number
 from burnkit import permutation_reduction
-from burnkit.graph import Graph, build_permutation_graph, connected_components
+from burnkit.graph import (
+    Graph,
+    build_permutation_graph,
+    connected_components,
+    path_forest,
+)
 from burnkit.partition import (
     Partition3,
     ThreePartitionInstance,
@@ -174,6 +179,26 @@ class TestConstructPx:
             permutation_reduction, "build_permutation_graph", join
         )
         with pytest.raises(AssertionError, match="segment paths"):
+            construct_px(TINY)
+
+    def test_paths_straddling_two_segments_are_refused(self, monkeypatch):
+        # swapping a block vertex with a filler vertex keeps a path
+        # forest of the same orders, but two paths now straddle two
+        # value ranges; check_model alone would accept the walked paths
+        def swap(size, perm):
+            g = build_permutation_graph(size, perm)
+            label = list(range(g.n))
+            label[5], label[29] = 29, 5  # block 0..26, filler 27..31
+            return Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+        paths = path_forest(swap(36, construct_px(TINY).permutation))
+        assert [len(p) for p in paths] == [27, 5, 3, 1]
+        assert 29 in paths[0] and 5 in paths[1]
+        monkeypatch.setattr(
+            permutation_reduction, "build_permutation_graph", swap
+        )
+        with pytest.raises(AssertionError,
+                           match="permutation does not give the segment"):
             construct_px(TINY)
 
 
