@@ -5,8 +5,9 @@ placed (it must still be unburnt at the start of the round) and the fire
 spreads one hop from everything burnt in earlier rounds.  A schedule of
 length k therefore gives the source of round i a final reach of k - i hops;
 the graph is fully burnt after k rounds exactly when those k balls cover
-the vertex set.  `simulate` implements the round form, `verify_schedule`
-the ball-union form, and the two are cross-checked in the test suite.
+the vertex set.  `simulate` alone implements the round form;
+`verify_schedule` computes the ball-union form as a burn-time field, and
+the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import InputError, InternalError, ScheduleError
 from .graph import (
     Graph,
     ball,
-    ball_distances,
     center_and_diameter,
     connected_components,
 )
@@ -154,34 +154,50 @@ def clusters(
     return [ball(g, (src,), k - i) for i, src in enumerate(sources, start=1)]
 
 
+def _ignite(adj: Sequence[Sequence[int]], burns_at: list[int],
+            x: int, t: int) -> None:
+    """Light x in round t and lower burns_at, layer by layer, wherever
+    x's fire arrives sooner.
+
+    The BFS stops per vertex, at w with at >= burns_at[w].  That is
+    exact because burns_at is 1-Lipschitz along edges: every vertex on
+    a shortest path from x to a w it improves is improved too.  So the
+    field's start value bounds the BFS: started at k + 1, it stops at
+    round k + 1, and no entry is lowered to a round past k.
+    """
+    burns_at[x] = at = t
+    layer = [x]
+    while layer:
+        at += 1
+        grown = []
+        for u in layer:
+            for w in adj[u]:
+                if at < burns_at[w]:
+                    burns_at[w] = at
+                    grown.append(w)
+        layer = grown
+
+
 def verify_schedule(
     g: Graph, schedule: BurningSchedule | Sequence[int]
 ) -> bool:
-    """Decide completeness through the ball-union identity.
-
-    Shares the strict validity rules with simulate: a source that some
-    earlier, shrunken ball already covers would have been burnt before its
-    round, and the schedule is rejected.  The two deciders agree exactly.
+    """Decide completeness through the ball-union identity, kept as the
+    burn-time field of the sources placed so far (k + 1 where none
+    reaches).  A source burnt before its round is rejected with
+    simulate's message: the deciders agree on verdict and message.
     """
     sources = _coerce(schedule)
     _check_sources(g, sources)
     k = len(sources)
-    dist_maps: list[dict[int, int]] = []
-    for i, src in enumerate(sources, start=1):
-        dist_maps.append(ball_distances(g, (src,), k - i))
-    for t in range(2, k + 1):
-        x = sources[t - 1]
-        for i in range(1, t):
-            d = dist_maps[i - 1].get(x)
-            if d is not None and d <= (t - 1) - i:
-                raise ScheduleError(
-                    f"source {x} of round {t} already burnt in round "
-                    f"{i + d}"
-                )
-    covered: set[int] = set()
-    for dm in dist_maps:
-        covered.update(dm)
-    return len(covered) == g.n
+    burns_at = [k + 1] * g.n
+    for t, x in enumerate(sources, start=1):
+        if burns_at[x] < t:
+            raise ScheduleError(
+                f"source {x} of round {t} already burnt in round "
+                f"{burns_at[x]}"
+            )
+        _ignite(g.adjacency, burns_at, x, t)
+    return max(burns_at) <= k
 
 
 def greedy_burn(g: Graph) -> BurningSchedule:
@@ -190,10 +206,8 @@ def greedy_burn(g: Graph) -> BurningSchedule:
     The first source is the radical center of the largest component, each
     later round picks the unburnt vertex farthest from everything burnt so
     far (unreached components count as infinitely far; smallest id breaks
-    ties).  Each source runs a BFS that expands a vertex only where it
-    brings that vertex's burn round forward, so the BFS costs the region
-    it takes over, not the graph.  The schedule is checked with simulate
-    before it is returned.
+    ties).  Each source widens verify_schedule's burn-time field, at the
+    cost of the region it takes over.  simulate checks the result.
     """
     return _greedy_census(g)[0]
 
@@ -214,27 +228,12 @@ def _greedy_census(
     components = connected_components(g)
     largest = min(components, key=lambda c: (-len(c), c[0]))
     x, diameter = center_and_diameter(g, largest)
-    adj = g.adjacency
     burns_at = [2 * g.n + 2] * g.n
     sources = []
     t = 1
     while True:
         sources.append(x)
-        burns_at[x] = t
-        # Not ball_distances, which stops at one radius: this BFS stops
-        # per vertex, at w with at >= burns_at[w].  That is exact
-        # because burns_at is 1-Lipschitz along edges: every vertex on
-        # a shortest path from x to a w it improves is improved too.
-        layer, at = [x], t
-        while layer:
-            at += 1
-            grown = []
-            for u in layer:
-                for w in adj[u]:
-                    if at < burns_at[w]:
-                        burns_at[w] = at
-                        grown.append(w)
-            layer = grown
+        _ignite(g.adjacency, burns_at, x, t)
         last = max(burns_at)
         if last <= t:
             break

@@ -29,6 +29,9 @@ UNREACHED = -1
 
 # read_graph's cap on n, checked before allocating; 450x450 grids fit
 _MAX_READ_ORDER = 1_000_000
+# interval and permutation graphs' cap on m, counted as they are swept;
+# a 1000x1000 grid has 1,998,000 edges and both gadgets stay near 1M
+_MAX_SWEPT_EDGES = 2_000_000
 
 
 class Graph:
@@ -232,10 +235,15 @@ def build_interval_graph(rep: IntervalRepresentation) -> Graph:
     order = sorted(range(n), key=lambda i: (rep.intervals[i][0], i))
     active: list[int] = []  # ids whose interval may still overlap later ones
     adj: list[list[int]] = [[] for _ in range(n)]
+    m = 0
     # each pair meets once: when the later-starting interval is swept
     for i in order:
         lo, _ = rep.intervals[i]
         active = [j for j in active if rep.intervals[j][1] >= lo]
+        m += len(active)
+        if m > _MAX_SWEPT_EDGES:
+            raise GraphError(f"interval graph exceeds the limit of "
+                             f"{_MAX_SWEPT_EDGES} edges")
         for j in active:
             adj[j].append(i)
         adj[i].extend(active)
@@ -257,8 +265,13 @@ def build_permutation_graph(size: int, perm: Sequence[int]) -> Graph:
     # the ones that invert against the current value, each pair once
     seen: list[int] = []  # ascending
     adj: list[list[int]] = [[] for _ in range(size)]
+    m = 0
     for value in perm:
         at = bisect_right(seen, value)
+        m += len(seen) - at  # the inversions value adds
+        if m > _MAX_SWEPT_EDGES:
+            raise GraphError(f"permutation graph exceeds the limit of "
+                             f"{_MAX_SWEPT_EDGES} edges")
         v = value - 1
         row = adj[v]
         for w in seen[at:]:

@@ -8,16 +8,22 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import pytest
 
 import burnkit
-from burnkit.burning import BurningSchedule, simulate
+from burnkit.burning import (
+    BurningSchedule,
+    _check_sources,
+    _coerce,
+    simulate,
+)
 from burnkit.errors import ScheduleError
 from burnkit.graph import (
     Graph,
     UNREACHED,
+    ball_distances,
     bfs_distances,
     connected_components,
     radical_center,
@@ -99,6 +105,40 @@ def reference_greedy_burn(g: Graph) -> BurningSchedule:
             if d > far:
                 far, pick = d, v
         sources.append(pick)
+
+
+# verify_schedule as it was before the burn-time field, kept verbatim as a
+# verdict oracle: one distance map per source, then a scan over pairs of
+# sources.  Its rejection can name a later round than the true one: the
+# round of the first earlier source that reaches x, not the soonest.
+def reference_verify_schedule(
+    g: Graph, schedule: BurningSchedule | Sequence[int]
+) -> bool:
+    """Decide completeness through the ball-union identity.
+
+    Shares the strict validity rules with simulate: a source that some
+    earlier, shrunken ball already covers would have been burnt before its
+    round, and the schedule is rejected.  The two deciders agree exactly.
+    """
+    sources = _coerce(schedule)
+    _check_sources(g, sources)
+    k = len(sources)
+    dist_maps: list[dict[int, int]] = []
+    for i, src in enumerate(sources, start=1):
+        dist_maps.append(ball_distances(g, (src,), k - i))
+    for t in range(2, k + 1):
+        x = sources[t - 1]
+        for i in range(1, t):
+            d = dist_maps[i - 1].get(x)
+            if d is not None and d <= (t - 1) - i:
+                raise ScheduleError(
+                    f"source {x} of round {t} already burnt in round "
+                    f"{i + d}"
+                )
+    covered: set[int] = set()
+    for dm in dist_maps:
+        covered.update(dm)
+    return len(covered) == g.n
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

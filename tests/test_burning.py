@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burnkit import burning
@@ -26,10 +26,18 @@ from burnkit.graph import (
     build_path,
     build_path_forest,
 )
-from burnkit.interval_reduction import construct_ig
-from burnkit.partition import ThreePartitionInstance
-from burnkit.permutation_reduction import construct_px
-from conftest import optimal_schedules, random_graph, reference_greedy_burn
+from burnkit.interval_reduction import construct_ig, partition_to_schedule
+from burnkit.partition import ThreePartitionInstance, solve_3partition
+from burnkit.permutation_reduction import (
+    construct_px,
+    partition_to_schedule_pg,
+)
+from conftest import (
+    optimal_schedules,
+    random_graph,
+    reference_greedy_burn,
+    reference_verify_schedule,
+)
 
 WORKED = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
 
@@ -48,10 +56,11 @@ def graphs_and_schedules(draw):
 
 
 def _decide(decider, g, sources):
+    """The verdict, or the rejection message if the schedule is refused."""
     try:
         return decider(g, sources)
-    except ScheduleError:
-        return ScheduleError
+    except ScheduleError as exc:
+        return f"rejected: {exc}"
 
 
 class TestSimulate:
@@ -130,6 +139,16 @@ class TestVerify:
         with pytest.raises(ScheduleError, match="source 3 of round 3"):
             verify_schedule(build_path(9), [4, 8, 3])
 
+    def test_rejection_names_the_round_the_source_caught_fire(self):
+        # vertex 3 lies 3 hops from round 1's source and 1 hop from round
+        # 2's, so it catches fire in round 3, not 4
+        g, sched = build_path(20), [0, 4, 10, 15, 3]
+        message = "source 3 of round 5 already burnt in round 3"
+        for decider in (verify_schedule, simulate, assert_agreement):
+            with pytest.raises(ScheduleError) as caught:
+                decider(g, sched)
+            assert str(caught.value) == message
+
     def test_cross_characterization_random(self):
         rng = random.Random(424242)
         for _ in range(400):
@@ -139,18 +158,57 @@ class TestVerify:
             sched = [rng.randrange(n) for _ in range(length)]
             try:
                 assert_agreement(g, sched)
-            except ScheduleError:
-                pass  # both deciders rejected; agreement already checked
+            except ScheduleError as exc:
+                # both deciders rejected, and with the same message
+                assert f"rejected: {exc}" == _decide(simulate, g, sched)
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_and_schedules())
+    # vertex 3 is 3 hops from round 1's source, 1 from round 2's
+    @example((Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4)]), [0, 4, 5, 6, 3]))
     def test_property_simulate_agrees_with_verify(self, case):
         g, sources = case
         by_union = _decide(verify_schedule, g, sources)
         by_rounds = _decide(
             lambda g, s: simulate(g, s).complete, g, sources
         )
-        assert by_union == by_rounds
+        assert by_union == by_rounds  # a rejection compares messages too
+
+    def test_verdicts_match_reference_decider(self):
+        rng = random.Random(1818)
+        graphs = [random_graph(rng, rng.randint(1, 22),
+                               rng.choice([0.02, 0.08, 0.2, 0.5]))
+                  for _ in range(120)]
+        graphs += [build_grid(r, c) for r in range(1, 9) for c in (r, 9 - r)]
+        graphs += [build_comb(s) for s in (3, 4, 9, 17, 40)]
+        graphs += [build_path_forest([rng.randint(1, 12)
+                                      for _ in range(rng.randint(1, 6))])
+                   for _ in range(20)]
+        cases = [(g, list(greedy_burn(g))) for g in graphs]
+        solution = solve_3partition(WORKED)
+        for build, place in ((construct_ig, partition_to_schedule),
+                             (construct_px, partition_to_schedule_pg)):
+            gadget = build(WORKED)
+            cases.append((gadget.graph, list(place(gadget, solution))))
+        checked = 0
+        for g, base in cases:
+            schedules = [base, base[:-1] or base]
+            for i in range(len(base)):
+                # one source moved to a neighbour or to any vertex
+                for w in (rng.choice(g.adjacency[base[i]] or (base[i],)),
+                          rng.randrange(g.n)):
+                    schedules.append(base[:i] + [w] + base[i + 1:])
+            schedules += [rng.sample(range(g.n), rng.randint(1, min(g.n, 6)))
+                          for _ in range(4)]
+            for sched in schedules:
+                by_field = _decide(verify_schedule, g, sched)
+                by_pairs = _decide(reference_verify_schedule, g, sched)
+                if isinstance(by_pairs, str):
+                    assert isinstance(by_field, str), (sched, by_field)
+                else:
+                    assert by_field == by_pairs, sched
+                checked += 1
+        assert checked > 2000
 
     def test_relabeling_invariance(self):
         rng = random.Random(99)

@@ -15,10 +15,12 @@ from burnkit.burning import (
 from burnkit.cli import main
 from burnkit.graph import (
     Graph,
+    IntervalRepresentation,
     build_path,
     build_path_forest,
     read_graph,
     write_graph,
+    write_intervals,
 )
 from burnkit.interval_reduction import construct_ig
 from burnkit.partition import ThreePartitionInstance, write_instance
@@ -98,6 +100,25 @@ class TestGen:
         g = read_graph(out.read_text())
         assert tuple(g.edges()) == ((0, 2), (1, 2), (1, 4), (3, 4))
 
+    @pytest.mark.parametrize("family,flag,text", [
+        ("pg", "--perm", write_permutation(range(2001, 0, -1))),
+        ("ig", "--intervals",
+         write_intervals(IntervalRepresentation(
+             tuple((i, 4002 - i) for i in range(2001))))),
+    ], ids=["pg", "ig"])
+    def test_refuses_more_edges_than_the_cap(self, tmp_path, capsys,
+                                             family, flag, text):
+        # 2,001 pairwise-adjacent vertices: 2,001,000 edges
+        source = tmp_path / "in.txt"
+        source.write_text(text)
+        out = tmp_path / "g.graph"
+        assert main(["gen", family, flag, str(source),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("exceeds the limit of 2000000 edges\n")
+        assert not out.exists()
+
     def test_missing_input_file_is_malformed(self, tmp_path):
         out = tmp_path / "g.graph"
         code = main(
@@ -152,6 +173,22 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == (
             "error: source 5 of round 3 already burnt in round 2\n"
+        )
+
+    def test_rejection_names_the_round_the_source_caught_fire(
+        self, tmp_path, capsys
+    ):
+        graph = tmp_path / "path20.graph"
+        graph.write_text(write_graph(build_path(20)))
+        sched = tmp_path / "s.txt"
+        sched.write_text(write_schedule([0, 4, 10, 15, 3]))
+        assert main(
+            ["verify", "--graph", str(graph), "--schedule", str(sched)]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: source 3 of round 5 already burnt in round 3\n"
         )
 
     def test_garbled_schedule_is_malformed(self, tmp_path, path9_file):

@@ -233,6 +233,25 @@ class TestTrustedRows:
             )
             assert list(g.edges()) == want
 
+    def test_permutation_graph_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(89)
+        for _ in range(80):
+            size = rng.randint(1, 40)
+            perm = list(range(1, size + 1))
+            rng.shuffle(perm)
+            g = build_permutation_graph(size, perm)
+            # values i < j are adjacent iff j comes first: an inversion
+            h = nx.Graph()
+            h.add_nodes_from(range(size))
+            h.add_edges_from(
+                (min(a, b) - 1, max(a, b) - 1)
+                for x, a in enumerate(perm) for b in perm[x + 1:] if a > b
+            )
+            assert g.n == h.number_of_nodes()
+            want = sorted(tuple(sorted(e)) for e in h.edges)
+            assert list(g.edges()) == want
+
 
 class TestDistances:
     def test_bfs_and_ball(self):
