@@ -9,6 +9,7 @@ elsewhere in the package lean on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -108,17 +109,24 @@ def solve_3partition(
 ) -> Partition3 | None:
     """Find a distinct 3-partition, or prove there is none.
 
-    Backtracks on the largest unplaced element: its two partners are
-    scanned in decreasing order, with the third member looked up by
-    value.  Raises BudgetExceededError if node_budget search nodes
-    are not enough to settle the instance.
+    Backtracks on the largest unplaced element a: with need = B - a,
+    its second member is scanned in decreasing order over the window
+    (need / 2, need - smallest unused], with the third member looked
+    up by value.  A second above that window would leave a third
+    smaller than every unused element, so the scan starts at the
+    window's top, found by bisection.  Raises BudgetExceededError if
+    node_budget search nodes are not enough to settle the instance;
+    a node is one placed triple, and the partners a node scans are
+    not counted.
     """
     validate_instance(instance)
     b = instance.target
     order = sorted(instance.elements, reverse=True)
+    rising = [-a for a in order]  # order negated, for bisect
     index_of = {a: i for i, a in enumerate(order)}
     m = len(order)
     used = [False] * m
+    last = m - 1  # no unused index lies past it: order[last] <= any unused
     chosen: list[Triple] = []
     spent = 0
 
@@ -149,11 +157,19 @@ def solve_3partition(
             top, j, k = frame
             if k >= 0:  # the subtree under this choice failed
                 used[j] = used[k] = False
+                last = max(last, k)
                 chosen.pop()
             a = order[top]
             need = b - a
+            # top was the first of a multiple of 3 unused elements, so
+            # at least two lie past it and this stops on one
+            while used[last]:
+                last -= 1
+            # a second above need - order[last] leaves its third below
+            # every unused element: start the scan past all of them
+            start = bisect_left(rising, order[last] - need)
             k = -1
-            for j in range(j + 1, m):
+            for j in range(max(j + 1, start), m):
                 if used[j]:
                     continue
                 second = order[j]
@@ -165,7 +181,7 @@ def solve_3partition(
                     break
             if k >= 0:
                 break
-            used[top] = False
+            used[top] = False  # below last: two unused lay past it
             stack.pop()
         used[j] = used[k] = True
         chosen.append((need - second, second, a))

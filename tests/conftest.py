@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 import burnkit
 from burnkit.burning import (
@@ -31,6 +32,7 @@ from burnkit.graph import (
 from burnkit.partition import (
     Partition3,
     ThreePartitionInstance,
+    solve_3partition,
     validate_instance,
 )
 
@@ -141,6 +143,66 @@ def reference_verify_schedule(
     return len(covered) == g.n
 
 
+# solve_3partition as it was before its partner scan was bounded, kept as
+# an identity oracle: every node scans partners from just below its element
+# down to need / 2, so a solve costs O(m^2) scan steps in the element count.
+def reference_solve_3partition(
+    instance: ThreePartitionInstance,
+) -> tuple[Partition3 | None, int]:
+    """The unbounded-scan solver, with the search nodes it counted."""
+    validate_instance(instance)
+    b = instance.target
+    order = sorted(instance.elements, reverse=True)
+    index_of = {a: i for i, a in enumerate(order)}
+    m = len(order)
+    used = [False] * m
+    chosen: list[tuple[int, int, int]] = []
+    spent = 0
+
+    def node(lo: int) -> int:
+        nonlocal spent
+        spent += 1
+        while lo < m and used[lo]:
+            lo += 1
+        return lo
+
+    stack: list[list[int]] = []
+    i = node(0)
+    while i < m:
+        used[i] = True
+        stack.append([i, i, -1])
+        while True:
+            if not stack:
+                return None, spent
+            frame = stack[-1]
+            top, j, k = frame
+            if k >= 0:
+                used[j] = used[k] = False
+                chosen.pop()
+            a = order[top]
+            need = b - a
+            k = -1
+            for j in range(j + 1, m):
+                if used[j]:
+                    continue
+                second = order[j]
+                if 2 * second <= need:
+                    break
+                third = index_of.get(need - second)
+                if third is not None and third > j and not used[third]:
+                    k = third
+                    break
+            if k >= 0:
+                break
+            used[top] = False
+            stack.pop()
+        used[j] = used[k] = True
+        chosen.append((need - second, second, a))
+        frame[1], frame[2] = j, k
+        i = node(top + 1)
+    return Partition3.of(chosen), spent
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v)
@@ -173,6 +235,35 @@ def random_solvable_instance(
     instance = ThreePartitionInstance.of(elements)
     validate_instance(instance)
     return instance, Partition3.of(triples)
+
+
+def small_instances(
+    triples: int, largest: int
+) -> list[ThreePartitionInstance]:
+    """Every valid instance of this many triples, elements <= largest."""
+    found = []
+    for b in range(1, 4 * largest):
+        window = range(b // 4 + 1, min((b - 1) // 2, largest) + 1)
+        for combo in itertools.combinations(window, 3 * triples):
+            if sum(combo) == triples * b:
+                found.append(ThreePartitionInstance.of(combo))
+    return found
+
+
+def small_solvable_instances(
+    largest: int = 20,
+) -> st.SearchStrategy[ThreePartitionInstance]:
+    """Solvable one- and two-triple instances, elements <= largest.
+
+    largest bounds the gadgets: the interval gadget of an instance with
+    largest element m has 7m^2 + 6m vertices.  Three triples need a
+    largest element above 20.
+    """
+    return st.one_of(*(
+        st.sampled_from([inst for inst in small_instances(n, largest)
+                         if solve_3partition(inst) is not None])
+        for n in (1, 2)
+    ))
 
 
 @pytest.fixture

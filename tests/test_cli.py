@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import random
 
 import pytest
 
@@ -23,9 +24,14 @@ from burnkit.graph import (
     write_intervals,
 )
 from burnkit.interval_reduction import construct_ig
-from burnkit.partition import ThreePartitionInstance, write_instance
+from burnkit.partition import (
+    Partition3,
+    ThreePartitionInstance,
+    verify_partition,
+    write_instance,
+)
 from burnkit.permutation_reduction import construct_px, write_permutation
-from conftest import run_python
+from conftest import random_solvable_instance, run_python
 
 WORKED = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
 UNSOLVABLE = ThreePartitionInstance.of([11, 12, 13, 14, 15, 21])
@@ -542,6 +548,15 @@ class TestThreePart:
         path = tmp_path / "inv.txt"
         path.write_text("1 2 3\n")
         assert main(["3part", "--in", str(path)]) == 2
+
+    def test_five_thousand_triples(self, tmp_path, capsys):
+        instance, _known = random_solvable_instance(random.Random(5000), 5000)
+        path = tmp_path / "big.txt"
+        path.write_text(write_instance(instance))
+        assert main(["3part", "--in", str(path), "--report", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["solvable"] is True
+        assert verify_partition(instance, Partition3.of(payload["triples"]))
 
 
 class TestReductions:

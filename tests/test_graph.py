@@ -10,6 +10,7 @@ from burnkit.grid import GridSpec, burn_grid_2approx
 from burnkit.errors import GraphError
 from burnkit.graph import (
     _MAX_READ_ORDER,
+    UNREACHED,
     Graph,
     IntervalRepresentation,
     bfs_distances,
@@ -33,6 +34,7 @@ from burnkit.graph import (
 from burnkit.interval_reduction import construct_ig
 from burnkit.partition import ThreePartitionInstance
 from burnkit.permutation_reduction import construct_px
+from conftest import random_graph
 
 
 class TestGraphBasics:
@@ -300,6 +302,28 @@ class TestDistances:
             for bad in (-1, n):
                 with pytest.raises(GraphError, match="out of range"):
                     center_and_diameter(g, [bad])
+
+    def test_distances_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(61)
+        disconnected = 0
+        for _ in range(120):
+            n = rng.randint(1, 30)
+            g = random_graph(rng, n, rng.choice((0.03, 0.08, 0.15, 0.4)))
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            disconnected += not nx.is_connected(h)
+            sources = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            want = nx.multi_source_dijkstra_path_length(h, sources)
+            assert bfs_distances(g, sources) == [
+                want.get(v, UNREACHED) for v in range(n)
+            ]
+            for radius in range(4):
+                assert ball_distances(g, sources, radius) == {
+                    v: d for v, d in want.items() if d <= radius
+                }
+        assert disconnected > 40
 
     def test_ball_distances_agree_with_bfs(self):
         g = build_grid(5, 5)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from burnkit.burning import BurningSchedule, simulate
 from burnkit.errors import (
@@ -24,7 +25,13 @@ from burnkit.interval_reduction import (
     partition_to_schedule,
     schedule_to_partition,
 )
-from burnkit.partition import Partition3, ThreePartitionInstance
+from burnkit.partition import (
+    Partition3,
+    ThreePartitionInstance,
+    solve_3partition,
+    verify_partition,
+)
+from conftest import small_solvable_instances
 
 WORKED = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
 WORKED_SOLUTION = Partition3.of([(10, 14, 15), (11, 12, 16)])
@@ -251,6 +258,15 @@ class TestReverse:
                 continue
             with pytest.raises(ExtractionError):
                 schedule_to_partition(tiny_art, mutant)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_solvable_instances())
+    def test_round_trip_on_generated_instances(self, instance):
+        partition = solve_3partition(instance)
+        art = construct_ig(instance)
+        sched = partition_to_schedule(art, partition)
+        back = schedule_to_partition(art, sched)
+        assert back == partition and verify_partition(instance, back)
 
     def test_schedule_types_accepted(self, tiny_art):
         sched = partition_to_schedule(tiny_art, TINY_SOLUTION)

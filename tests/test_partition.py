@@ -15,7 +15,55 @@ from burnkit.partition import (
     verify_partition,
     write_instance,
 )
-from conftest import random_solvable_instance
+from conftest import (
+    random_solvable_instance,
+    reference_solve_3partition,
+    small_instances,
+)
+
+
+def planted_instance(rng: random.Random, n: int) -> ThreePartitionInstance:
+    """n triples drawn at random from the window of a random target.
+
+    Each triple is drawn from every triple of unused window values that
+    sums to the target; a dead end starts over.
+    """
+    while True:
+        b = rng.randint(12 * n + 12, 24 * n + 24)
+        free = set(range(b // 4 + 1, (b + 1) // 2))
+        triples: list[tuple[int, int, int]] = []
+        while len(triples) < n:
+            vals = sorted(free)
+            options = [(x, y, b - x - y)
+                       for i, x in enumerate(vals) for y in vals[i + 1:]
+                       if y < b - x - y and b - x - y in free]
+            if not options:
+                break
+            triples.append(rng.choice(options))
+            free -= set(triples[-1])
+        else:
+            elements = [v for t in triples for v in t]
+            rng.shuffle(elements)
+            return ThreePartitionInstance.of(elements)
+
+
+def near_misses(
+    rng: random.Random, inst: ThreePartitionInstance
+) -> list[ThreePartitionInstance]:
+    """inst with one unit moved between two elements, if still valid.
+
+    The sum stays, and a planted solution usually breaks.
+    """
+    els = list(inst.elements)
+    i, j = rng.sample(range(len(els)), 2)
+    els[i] += 1
+    els[j] -= 1
+    moved = ThreePartitionInstance.of(els)
+    try:
+        validate_instance(moved)
+    except InstanceError:
+        return []
+    return [moved]
 
 
 def brute_force_solvable(elements: tuple[int, ...], b: int) -> bool:
@@ -147,17 +195,7 @@ class TestSolver:
             planted, _known = random_solvable_instance(
                 rng, rng.randint(1, 4), slack=rng.randint(1, 6)
             )
-            els = list(planted.elements)
-            # move one unit between two elements: the sum stays, the
-            # planted solution usually breaks
-            i, j = rng.sample(range(len(els)), 2)
-            els[i] += 1
-            els[j] -= 1
-            for inst in (planted, ThreePartitionInstance.of(els)):
-                try:
-                    validate_instance(inst)
-                except InstanceError:
-                    continue
+            for inst in (planted, *near_misses(rng, planted)):
                 found = solve_3partition(inst)
                 expected = brute_force_solvable(inst.elements, inst.target)
                 assert (found is not None) == expected, inst
@@ -173,6 +211,57 @@ class TestSolver:
             rng.shuffle(order)
             found = solve_3partition(ThreePartitionInstance.of(order))
             assert found is not None and verify_partition(instance, found)
+
+
+def identity_battery() -> list[ThreePartitionInstance]:
+    """Seeded planted, run-shaped, near-miss and two-triple instances."""
+    rng = random.Random(1913)
+    battery = []
+    for n in range(1, 13):
+        for _ in range(16):
+            inst = planted_instance(rng, n)
+            battery += [inst, *near_misses(rng, inst)]
+    near = random.Random(97)  # the brute-force test's near-misses
+    for _ in range(300):
+        inst, _known = random_solvable_instance(
+            near, near.randint(1, 4), slack=near.randint(1, 6)
+        )
+        battery += [inst, *near_misses(near, inst)]
+    for _ in range(40):
+        inst, _known = random_solvable_instance(
+            rng, rng.randint(1, 60), slack=rng.randint(0, 6)
+        )
+        battery += [inst, *near_misses(rng, inst)]
+    # largest element 15 admits one two-triple instance; 30 admits 1,419
+    battery += small_instances(2, 30)
+    return battery
+
+
+class TestScanIdentity:
+    """The bounded partner scan places what the unbounded scan placed."""
+
+    def test_same_triples_and_node_counts_as_the_unbounded_scan(self):
+        battery = identity_battery()
+        unsolvable = backtracked = 0
+        for inst in battery:
+            expected, nodes = reference_solve_3partition(inst)
+            assert solve_3partition(inst, node_budget=nodes) == expected, inst
+            with pytest.raises(BudgetExceededError) as exc:
+                solve_3partition(inst, node_budget=nodes - 1)
+            assert exc.value.nodes_explored == nodes
+            unsolvable += expected is None
+            # a straight descent takes one node per triple, plus one
+            backtracked += nodes > inst.n + 1
+        # 2,096 instances, 365 unsolvable, 116 that backtrack
+        assert len(battery) > 2000 and unsolvable > 300 and backtracked > 100
+
+    @pytest.mark.parametrize("slack", [1, 9])
+    def test_twenty_thousand_triples(self, slack):
+        # the unbounded scan took 3 s at 5,000 triples, growing as m^2
+        rng = random.Random(20000)
+        instance, _known = random_solvable_instance(rng, 20_000, slack)
+        found = solve_3partition(instance)
+        assert found is not None and verify_partition(instance, found)
 
 
 class TestPartition3:

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from burnkit.burning import BurningSchedule, simulate, verify_schedule
 from burnkit.errors import (
@@ -36,7 +37,7 @@ from burnkit.permutation_reduction import (
     schedule_to_partition_pg,
     write_permutation,
 )
-from conftest import random_solvable_instance
+from conftest import random_solvable_instance, small_solvable_instances
 
 WORKED = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
 WORKED_SOLUTION = Partition3.of([(10, 14, 15), (11, 12, 16)])
@@ -290,6 +291,15 @@ class TestReverse:
                 continue
             with pytest.raises(ExtractionError):
                 schedule_to_partition_pg(tiny_art, mutant)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_solvable_instances())
+    def test_round_trip_on_generated_instances(self, instance):
+        partition = solve_3partition(instance)
+        art = construct_px(instance)
+        sched = partition_to_schedule_pg(art, partition)
+        back = schedule_to_partition_pg(art, sched)
+        assert back == partition and verify_partition(instance, back)
 
     def test_cross_oracle_on_random_instances(self):
         # the gadget's burning number must equal m exactly when the
