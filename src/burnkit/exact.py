@@ -30,8 +30,10 @@ answers at once, and otherwise caps the ladder below its length and
 answers if no k works.  A node there places one radius at one centre.
 Branching follows the exact-cover pattern: take the smallest uncovered
 vertex, and try every way of covering it, meaning every still-unused
-radius r paired with every center whose radius-r ball reaches the
-vertex.  Coverage state is a bitmask, so candidate gains are popcounts.
+radius r paired with every center within distance r of the vertex.
+Each vertex's centres are listed once, nearest first, so a node reads
+them off by distance instead of testing balls for the vertex.  Coverage
+state is a bitmask, so candidate gains are popcounts.
 
 Both searches share one driver, _drive, and differ in their move rules.
 The driver owns the explicit stack and backtracking, the node count
@@ -60,6 +62,10 @@ from .intmath import ceil_sqrt
 
 DEFAULT_NODE_BUDGET = 2_000_000
 _MEMO_CAP = 500_000
+# list slots _Profile.around keeps over a ladder: one per centre listed
+# for a target and one per ball padded onto a short row; past it, lists
+# are built per node and dropped
+_NEAR_CAP = 1_000_000
 # _Profile's cap on n * n * (stored radii) mask bits, about 1 GiB
 _MAX_MASK_BITS = 2**33
 
@@ -98,10 +104,19 @@ class _Profile:
     Masks take up to n bits for each vertex and stored radius; a graph
     whose masks could pass _MAX_MASK_BITS is refused with
     BudgetExceededError before any is built.
+
+    around(t, d) lists the centres within distance d of a search target
+    t, nearest first, read off t's own stored balls: ring j is
+    masks[t][j] minus masks[t][j - 1].  Each centre comes with its row
+    padded to radius_cap + 1 balls, so the search indexes it by radius
+    alone.  A target's list is built on first use, grown when a later
+    node reaches farther, and kept for every later node and k of the
+    ladder while the slots kept stay under _NEAR_CAP.
     """
 
     __slots__ = ("graph", "order", "masks", "maxball", "largest", "caps",
-                 "components", "comp_mask", "diameters")
+                 "components", "comp_mask", "diameters", "width", "near",
+                 "reached", "kept")
 
     def __init__(self, g: Graph, components: list[list[int]],
                  largest: list[int], diameter: int, radius_cap: int) -> None:
@@ -144,6 +159,48 @@ class _Profile:
             self.maxball.append(max(map(int.bit_count, ball)))
         self.caps = list(accumulate(map(self.maxball_at,
                                         range(radius_cap + 1))))
+        self.width = radius_cap + 1
+        # around's lists, each listing every centre nearer than reached
+        self.near: list[list | None] = [None] * n
+        self.reached = [0] * n
+        self.kept = 0
+
+    def around(self, target: int,
+               farthest: int) -> list[tuple[int, int, list[int]]]:
+        """(d, centre, row) for every centre within distance farthest of
+        target and perhaps some farther, nearest first: d is the centre's
+        distance and row its balls, the last repeated up to radius
+        radius_cap where the row stops short.  A kept list grows as
+        later calls ask for farther centres."""
+        near, start = self.near[target], self.reached[target]
+        if start > farthest:
+            return near
+        near = near or []
+        order, masks, width = self.order, self.masks, self.width
+        trow = masks[target]
+        stop = min(farthest + 1, len(trow))
+        size, inner = -len(near), trow[start - 1] if start else 0
+        append = near.append
+        for d in range(start, stop):
+            ring, inner = trow[d] ^ inner, trow[d]
+            while ring:
+                low = ring & -ring
+                ring ^= low
+                v = order[low.bit_length() - 1]
+                row = masks[v]
+                if len(row) < width:
+                    size += width - len(row)
+                    row = row + [row[-1]] * (width - len(row))
+                append((d, v, row))
+        size += len(near)
+        if self.kept + size <= _NEAR_CAP:
+            self.kept += size
+            self.near[target] = near
+            # past the end of trow, no centre is farther
+            self.reached[target] = stop if stop < len(trow) else width
+        else:
+            self.near[target], self.reached[target] = None, 0
+        return near
 
     def maxball_at(self, radius: int) -> int:
         if radius < len(self.maxball):
@@ -231,9 +288,11 @@ def _search(profile: _Profile, k: int, used: int,
     """A k-round schedule or None, and used plus one per node visited.
     A key is (uncovered, radii), both bitmasks."""
     mb = [profile.maxball_at(r) for r in range(k)]
-    order, rows, comp_mask = profile.order, profile.masks, profile.comp_mask
-    # radii mask -> its radii, ascending, and the most vertices they cover
-    free: dict[int, tuple[list[int], int]] = {}
+    order, around, comp_mask = profile.order, profile.around, profile.comp_mask
+    widest = max(profile.diameters)  # no centre lies farther from a target
+    # radii mask -> for each distance d a centre can lie at, its radii
+    # r >= d, ascending; and the most vertices its radii cover
+    free: dict[int, tuple[list[list[int]], int]] = {}
 
     def moves_of(key: tuple[int, int], active: int) -> list | None:
         """Pick the target vertex and list its moves, best last.
@@ -247,28 +306,24 @@ def _search(profile: _Profile, k: int, used: int,
             return None
         if radii not in free:
             available = [r for r in range(k) if radii >> r & 1]
-            free[radii] = available, sum(mb[r] for r in available)
-        available, cap = free[radii]
+            reach = [available]
+            for d in range(1, min(available[-1], widest) + 1):
+                rs = reach[-1]  # distinct radii: one drops out at most
+                reach.append(rs[1:] if rs[0] < d else rs)
+            free[radii] = reach, sum(mb[r] for r in available)
+        reach, cap = free[radii]
+        farthest = len(reach) - 1
         # count <= cap always: true at the root, and every move keeps it
         count = uncovered.bit_count()
         pool = uncovered & active or uncovered
-        tbit = pool & -pool
-        target = order[tbit.bit_length() - 1]
-        trow = rows[target]
-        rmax = available[-1]
-        candidates = trow[rmax] if rmax < len(trow) else trow[-1]
         moves: list[tuple[int, int, int, int]] = []
-        while candidates:
-            low = candidates & -candidates
-            v = order[low.bit_length() - 1]
-            candidates ^= low
-            vrow = rows[v]
-            stored = len(vrow)
+        for d, v, row in around(order[(pool & -pool).bit_length() - 1],
+                                farthest):
+            if d > farthest:
+                break
             last_gain = 0
-            for r in available:
-                mask = vrow[r] if r < stored else vrow[-1]
-                if not mask & tbit:
-                    continue
+            for r in reach[d]:
+                mask = row[r]
                 gain = (mask & uncovered).bit_count()
                 if gain > last_gain:
                     # a bigger radius with no extra gain is dominated:

@@ -366,17 +366,21 @@ def path_forest(g: Graph) -> list[list[int]] | None:
     end, so the walks from the ends miss it).  Each path starts at its
     smaller end, and the paths come in the order of those ends."""
     adj = g.adjacency
-    if any(len(a) > 2 for a in adj):
+    if any(map((2).__lt__, map(len, adj))):
         return None
     paths: list[list[int]] = []
     ends: set[int] = set()  # far ends of the paths walked so far
     for s in range(g.n):
         if len(adj[s]) == 2 or s in ends:
             continue
-        path, prev = [s], -1
-        while ahead := [w for w in adj[path[-1]] if w != prev]:
-            prev = path[-1]
-            path.append(ahead[0])
+        path = [s]
+        if adj[s]:
+            prev, v = s, adj[s][0]
+            path.append(v)
+            while len(adj[v]) == 2:
+                a, b = adj[v]
+                prev, v = v, b if a == prev else a
+                path.append(v)
         ends.add(path[-1])
         paths.append(path)
     return paths if sum(map(len, paths)) == g.n else None

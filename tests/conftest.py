@@ -21,6 +21,7 @@ from burnkit.burning import (
     simulate,
 )
 from burnkit.errors import ScheduleError
+from burnkit.exact import _drive, _Profile, _realize
 from burnkit.graph import (
     Graph,
     UNREACHED,
@@ -201,6 +202,67 @@ def reference_solve_3partition(
         frame[1], frame[2] = j, k
         i = node(top + 1)
     return Partition3.of(chosen), spent
+
+
+# exact._search as it was before each target's centres were listed by
+# distance, kept as an identity oracle: every node scans the bits of the
+# target's ball at the largest free radius for candidate centres, and tests
+# each centre's ball at every free radius for the target.
+def reference_search(
+    profile: _Profile, k: int, used: int, limit: int
+) -> tuple[BurningSchedule | None, int]:
+    """The mask-scan cover search, a drop-in for exact._search."""
+    mb = [profile.maxball_at(r) for r in range(k)]
+    order, rows, comp_mask = profile.order, profile.masks, profile.comp_mask
+    free: dict[int, tuple[list[int], int]] = {}
+
+    def moves_of(key: tuple[int, int], active: int) -> list | None:
+        uncovered, radii = key
+        if not uncovered:
+            return None
+        if radii not in free:
+            available = [r for r in range(k) if radii >> r & 1]
+            free[radii] = available, sum(mb[r] for r in available)
+        available, cap = free[radii]
+        count = uncovered.bit_count()
+        pool = uncovered & active or uncovered
+        tbit = pool & -pool
+        target = order[tbit.bit_length() - 1]
+        trow = rows[target]
+        rmax = available[-1]
+        candidates = trow[rmax] if rmax < len(trow) else trow[-1]
+        moves: list[tuple[int, int, int, int]] = []
+        while candidates:
+            low = candidates & -candidates
+            v = order[low.bit_length() - 1]
+            candidates ^= low
+            vrow = rows[v]
+            stored = len(vrow)
+            last_gain = 0
+            for r in available:
+                mask = vrow[r] if r < stored else vrow[-1]
+                if not mask & tbit:
+                    continue
+                gain = (mask & uncovered).bit_count()
+                if gain > last_gain:
+                    if gain + cap - mb[r] >= count:
+                        moves.append((-gain, r, v, mask))
+                    last_gain = gain
+        moves.sort(reverse=True)
+        return moves
+
+    def child(key: tuple[int, int], move: tuple) -> tuple:
+        (uncovered, radii), (_, r, v, mask) = key, move
+        return (uncovered & ~mask, radii ^ 1 << r), comp_mask[v]
+
+    root = ((1 << profile.graph.n) - 1, (1 << k) - 1), 0
+    chosen, used = _drive(root, moves_of, child, used, limit)
+    if chosen is None:
+        return None, used
+    planned: list[int | None] = [None] * k
+    for _, (_, r, v, _) in chosen:
+        planned[k - 1 - r] = v
+    return BurningSchedule.of(_realize(profile.graph, planned)), used
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

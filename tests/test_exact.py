@@ -22,7 +22,7 @@ from burnkit.graph import (
 )
 from burnkit.partition import ThreePartitionInstance
 from burnkit.permutation_reduction import construct_px
-from conftest import naive_burning_number, random_graph
+from conftest import naive_burning_number, random_graph, reference_search
 
 
 def profile(g: Graph, radius_cap: int) -> _Profile:
@@ -463,6 +463,114 @@ class TestMemo:
         capped = search(g)
         assert (capped.k, capped.witness) == (res.k, res.witness)
         assert (res.nodes_explored, capped.nodes_explored) == (nodes, uncached)
+
+
+def search_outcomes(g: Graph) -> list[tuple | None]:
+    """What the cover search answers on g: the ladder's (k, witness,
+    nodes), can_burn_in at k - 1, k and k + 1, and the budget error of
+    the ladder one node short."""
+
+    def settle(run) -> tuple | None:
+        try:
+            found = run()
+        except BudgetExceededError as exc:
+            return str(exc), exc.nodes_explored
+        return None if found is None else tuple(found)
+
+    res = exact._generic_ladder(g)
+    out = [(res.k, tuple(res.witness), res.nodes_explored)]
+    out += [settle(lambda j=j: can_burn_in(g, res.k + j)) for j in (-1, 0, 1)]
+    if res.nodes_explored:
+        out.append(settle(lambda: exact._generic_ladder(
+            g, node_budget=res.nodes_explored - 1)))
+    return out
+
+
+class TestCentreLists:
+    """The cover search reads a target's centres off _Profile.around,
+    nearest first; conftest.reference_search keeps the mask scan it
+    replaced, which tested every free radius's ball for the target."""
+
+    @staticmethod
+    def corpus() -> list[Graph]:
+        rng = random.Random(2020)
+        graphs = [
+            random_graph(rng, rng.randint(1, 20), rng.uniform(0.05, 0.4))
+            for _ in range(600)
+        ]
+        graphs += [build_grid(side, side) for side in range(5, 9)]
+        graphs += [build_comb(spine) for spine in range(20, 41, 2)]
+        return graphs
+
+    def test_same_results_as_the_mask_scan(self, monkeypatch):
+        graphs = self.corpus()
+        got = [search_outcomes(g) for g in graphs]
+        monkeypatch.setattr(exact, "_search", reference_search)
+        assert got == [search_outcomes(g) for g in graphs]
+        # greedy settles most small graphs; 120 of 615 reach the search,
+        # the ladders take 23,044 nodes between them, most on grid-8 and
+        # comb-40
+        searched = [out[0][2] for out in got if out[0][2]]
+        assert len(searched) >= 100 and sum(searched) > 20_000
+
+    def test_random_trees_end_at_the_same_node(self, monkeypatch):
+        # random recursive trees of 150 vertices, as the benchmark draws
+        # them, under its 2,000-node budget: seed 150 is solved just
+        # inside it, seed 151 exhausts it
+        def settle(seed: int) -> tuple:
+            rng = random.Random(seed)
+            g = Graph(150, [(rng.randrange(v), v) for v in range(1, 150)])
+            try:
+                res = exact_burning_number(g, node_budget=2_000)
+            except BudgetExceededError as exc:
+                return str(exc), exc.nodes_explored
+            return res.k, tuple(res.witness), res.nodes_explored
+
+        got = [settle(150), settle(151)]
+        monkeypatch.setattr(exact, "_search", reference_search)
+        assert got == [settle(150), settle(151)]
+        assert got[0][0::2] == (6, 1_906)
+        assert got[1] == ("search budget of 2000 nodes exhausted", 2_001)
+
+    def test_centres_come_nearest_first(self):
+        rng = random.Random(164)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 18), rng.uniform(0.08, 0.4))
+            dist = [bfs_distances(g, (v,)) for v in range(g.n)]
+            for cap in range(5):
+                p = profile(g, cap)
+                for t in range(g.n):
+                    # lists grow on farther asks and are reused on nearer
+                    for farthest in rng.sample(range(cap + 1), cap + 1):
+                        near = p.around(t, farthest)
+                        assert [d for d, _, _ in near] == sorted(
+                            dist[t][v] for _, v, _ in near)
+                        assert all(d <= cap for d, _, _ in near)
+                        listed = [v for _, v, _ in near]
+                        assert len(set(listed)) == len(listed)
+                        assert set(listed) >= {
+                            v for v in range(g.n) if 0 <= dist[t][v] <= farthest
+                        }
+                        for _, v, row in near:
+                            ball = p.masks[v]
+                            assert row == ball + [ball[-1]] * (
+                                cap + 1 - len(ball))
+
+    @pytest.mark.parametrize("cap", [0, 40])
+    def test_a_capped_cache_changes_nothing(self, cap, monkeypatch):
+        rng = random.Random(40)
+        graphs = [build_grid(6, 6), build_comb(30), build_comb(20)]
+        graphs += [random_graph(rng, 16, 0.2) for _ in range(10)]
+        want = [search_outcomes(g) for g in graphs]
+        uncapped = profile(build_grid(6, 6), 4)
+        lists = [uncapped.around(t, 4) for t in range(36)]
+        assert uncapped.kept > cap
+        monkeypatch.setattr(exact, "_NEAR_CAP", cap)
+        assert [search_outcomes(g) for g in graphs] == want
+        capped = profile(build_grid(6, 6), 4)
+        assert [capped.around(t, 4) for t in range(36)] == lists
+        assert capped.kept <= cap
+        assert sum(near is not None for near in capped.near) < 36
 
 
 class TestLargerInstances:

@@ -25,6 +25,7 @@ from burnkit.graph import (
     center_and_diameter,
     connected_components,
     is_connected,
+    path_forest,
     radical_center,
     read_graph,
     read_intervals,
@@ -333,6 +334,74 @@ class TestDistances:
             want = {v: d for v, d in enumerate(full) if d <= radius}
             assert got == want
             assert ball(g, (12, 0), radius) == set(want)
+
+
+def _shuffled_paths(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """Edges of random paths over shuffled ids 0..n-1, some closed into
+    cycles, plus now and then one random edge (it may give a vertex
+    degree 3, close a cycle or join two paths)."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges: set[tuple[int, int]] = set()
+    start = 0
+    while start < n:
+        seg = ids[start:start + rng.randint(1, 8)]
+        start += len(seg)
+        if len(seg) >= 3 and rng.random() < 0.1:
+            seg.append(seg[0])
+        edges.update((min(u, v), max(u, v)) for u, v in zip(seg, seg[1:]))
+    if n >= 2 and rng.random() < 0.2:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return edges
+
+
+class TestPathForest:
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(363)
+        forests = isolated = cycles = branched = 0
+        for _ in range(400):
+            n = rng.randint(1, 30)
+            g = Graph(n, sorted(_shuffled_paths(rng, n)))
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            paths = path_forest(g)
+            if max(d for _, d in h.degree) > 2:
+                branched += 1
+                assert paths is None
+                continue
+            if not nx.is_forest(h):
+                cycles += 1
+                assert paths is None
+                continue
+            forests += 1
+            isolated += any(d == 0 for _, d in h.degree)
+            assert sorted(map(sorted, paths)) == sorted(
+                map(sorted, nx.connected_components(h)))
+            for path in paths:
+                # each path walks its component in order, from the
+                # smaller end
+                assert all(h.has_edge(u, v) for u, v in zip(path, path[1:]))
+                assert path[0] <= path[-1]
+            assert [p[0] for p in paths] == sorted(p[0] for p in paths)
+        assert min(forests, isolated, cycles, branched) > 20
+
+    def test_small_cases(self):
+        assert path_forest(Graph(3, [])) == [[0], [1], [2]]
+        assert path_forest(Graph(4, [(1, 3), (0, 3), (0, 2)])) == [
+            [1, 3, 0, 2]]
+        # a triangle beside a path, and a star on four vertices
+        assert path_forest(Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])) is None
+        assert path_forest(Graph(4, [(0, 1), (0, 2), (0, 3)])) is None
+        # two claws beside a 4-cycle: the walks from the ends count each
+        # claw's centre three times and miss the cycle, so the vertex
+        # count alone would pass it
+        assert path_forest(Graph(12, [
+            (0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7),
+            (8, 9), (9, 10), (10, 11), (8, 11),
+        ])) is None
 
 
 def _brute_centre_and_diameter(g, comp):
