@@ -10,10 +10,13 @@ such a schedule have distinct odd sizes and must tile every segment
 exactly; each block is then tiled by one solution triple.
 
 This module owns that argument once: the derived sets, the segment
-record and its vertex-to-(segment, offset) map, the check that a built
-graph is exactly the one its segment model describes, the forward
-placement of a solution's clusters, and the reverse check that reads a
-solution back off any schedule of the target length.
+record and its vertex-to-(segment, offset) map, the forward placement
+of a solution's clusters, and the reverse check that reads a solution
+back off any schedule of the target length.  It also holds check_model,
+the check that a built graph is exactly the one its segment paths
+describe, which serves the permutation gadget: that gadget's graph
+comes from a permutation, while the interval gadget's graph is built
+from its model directly and its intervals are checked against it.
 """
 
 from __future__ import annotations
@@ -103,10 +106,6 @@ class GadgetArtifact:
         """(leaf, host) pairs for vertices hanging off a segment."""
         return ()
 
-    def model_paths(self) -> Iterable[Sequence[int]]:
-        """Vertex sequences the graph must hold as induced paths."""
-        return (seg.vertices for seg in self.segments)
-
     @cached_property
     def where(self) -> dict[int, tuple[int, int]]:
         """Vertex to (segment index, offset along the segment's path).
@@ -128,16 +127,18 @@ class GadgetArtifact:
 def check_model(artifact: GadgetArtifact, mismatch: str) -> None:
     """Raise InternalError(mismatch) unless the graph is the model's.
 
-    The model joins consecutive vertices of each model path, and each
-    leaf to its host.  It must name every vertex exactly once: a path
-    walked on a wrong graph can stop short of a vertex, which would
-    then go unchecked.  Its edges are then distinct, so the graph must
-    hold each of them and no more.
+    The model joins consecutive vertices of each segment's path.  The
+    segments must name every vertex exactly once: a path walked on a
+    wrong graph can stop short of a vertex, which would then go
+    unchecked, and a leaf, which no segment names, fails here too.  The
+    model's edges are then distinct, so the graph must hold each of
+    them and no more.  The permutation gadget, a path forest, is
+    checked this way; the interval gadget is built from its model
+    instead.
     """
-    paths = list(artifact.model_paths())
-    folds = list(artifact.leaf_folds())
-    named = [v for path in paths for v in path] + [v for v, _ in folds]
-    edges = [e for path in paths for e in zip(path, path[1:])] + folds
+    paths = [seg.vertices for seg in artifact.segments]
+    named = [v for path in paths for v in path]
+    edges = [e for path in paths for e in zip(path, path[1:])]
     adj = artifact.graph.adjacency
     if (sorted(named) != list(range(len(adj)))
             or artifact.graph.m != len(edges)

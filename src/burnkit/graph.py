@@ -11,7 +11,14 @@ trusts the row invariant that `Graph(n, edges)` establishes: a tuple
 with one tuple per vertex, each sorted ascending, free of duplicates
 and of the vertex itself, and symmetric (w in row v iff v in row w).
 So a generator's graph is the one `Graph(g.n, list(g.edges()))` would
-build: equal adjacency, m and hash.
+build: equal adjacency, m and hash.  `interval_reduction.construct_ig`
+builds its caterpillar's rows the same way, from the gadget's segment
+model.
+
+`interval_graph_is(rep, g)` decides whether g is exactly the
+intersection graph of an interval representation without building
+one: it counts the meeting pairs in one endpoint sweep and tests each
+of g's edges.
 """
 
 from __future__ import annotations
@@ -251,6 +258,42 @@ def build_interval_graph(rep: IntervalRepresentation) -> Graph:
     return Graph._of_rows(tuple(tuple(sorted(row)) for row in adj))
 
 
+def interval_graph_is(rep: IntervalRepresentation, g: Graph) -> bool:
+    """Whether g is exactly the intersection graph of rep's intervals.
+
+    No adjacency is built.  One sort of the 2n endpoint keys counts the
+    meeting pairs: a start is 2*lo and an end 2*hi + 1, so at a shared
+    point starts come first and touching closed intervals meet.  Each
+    start meets every interval still open, itself included, so the
+    open counts summed over the starts, minus n, are the meeting pairs.
+    When that equals g.m and each of g's m distinct edges joins two
+    meeting intervals, g's edges are all the meeting pairs.
+    """
+    spans = rep.intervals
+    n = len(spans)
+    if n != g.n:
+        return False
+    keys = [2 * lo for lo, _ in spans]
+    keys += [2 * hi + 1 for _, hi in spans]
+    keys.sort()
+    meeting = -n
+    open_now = 0
+    for key in keys:
+        if key & 1:
+            open_now -= 1
+        else:
+            open_now += 1
+            meeting += open_now
+    if meeting != g.m:
+        return False
+    for u, row in enumerate(g.adjacency):
+        lo, hi = spans[u]
+        for v in row:
+            if v > u and (spans[v][0] > hi or lo > spans[v][1]):
+                return False
+    return True
+
+
 def build_permutation_graph(size: int, perm: Sequence[int]) -> Graph:
     """Inversion graph of a permutation of 1..size.
 
@@ -402,12 +445,13 @@ def center_and_diameter(
     the likeliest diameter end (greatest upper bound), and stop once the
     least (lower bound, id) is an exact eccentricity and no upper bound
     exceeds the greatest lower bound.  A handful of runs settles paths,
-    trees and grids; a graph whose vertices all share one eccentricity,
-    such as a cycle, needs n.  The vertex list must be exactly one
-    component, or GraphError is raised.
+    trees and grids; a graph whose vertices all share one eccentricity
+    needs n.  A cycle, a component whose every vertex has degree 2, is
+    one such graph and takes a closed form instead: each of its
+    vertices has eccentricity len // 2, so its smallest id is the
+    centre.  The vertex list must be exactly one component, or
+    GraphError is raised.
     """
-    import numpy as np  # loaded only where a centre or diameter is needed
-
     ids = sorted(component)
     dist = bfs_distances(g, ids[:1])
     # one whole component: distinct vertices of g, as many as the BFS
@@ -416,6 +460,11 @@ def center_and_diameter(
             or dist.count(UNREACHED) != g.n - len(ids)
             or any(dist[v] == UNREACHED for v in ids)):
         raise GraphError("centre search needs exactly one component")
+    adj = g.adjacency
+    if all(len(adj[v]) == 2 for v in ids):
+        return ids[0], len(ids) // 2
+    import numpy as np  # loaded only where a centre or diameter is needed
+
     lo = np.zeros(len(ids), dtype=np.int32)
     # above any ecc(u) + d, so the first diameter pick is the farthest
     hi = np.full(len(ids), 2 * len(ids), dtype=np.int32)

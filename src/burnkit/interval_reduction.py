@@ -13,6 +13,11 @@ Fillers carve away the odd sizes that are not shifted instance
 elements, leaving each block of size 2B - 3 to be tiled by exactly
 three shifted elements, a solution triple.
 
+construct_ig builds the caterpillar's graph from the segment model,
+the spine path plus one leaf per comb-interior vertex, and checks that
+its interval representation realises exactly that graph
+(graph.interval_graph_is), so no adjacency is swept from the intervals.
+
 Both directions of that equivalence are executable here:
 partition_to_schedule turns a solution into an optimal schedule, and
 schedule_to_partition turns any optimal schedule back into a solution,
@@ -32,12 +37,16 @@ from .gadget import (
     DerivedSets,
     GadgetArtifact,
     Segment,
-    check_model,
     derive_sets,
     place_clusters,
     read_off_partition,
 )
-from .graph import IntervalRepresentation, build_interval_graph
+from .graph import (
+    Graph,
+    IntervalRepresentation,
+    _path_rows,
+    interval_graph_is,
+)
 from .partition import Partition3, ThreePartitionInstance
 
 
@@ -60,10 +69,6 @@ class IntervalArtifact(GadgetArtifact):
 
     def leaf_folds(self) -> Iterable[tuple[int, int]]:
         return enumerate(self.leaf_hosts, start=self.spine_len)
-
-    def model_paths(self) -> Iterable[Sequence[int]]:
-        # the segments join end to end into one spine
-        return (range(self.spine_len),)
 
 
 def _segment_layout(d: DerivedSets) -> tuple[Segment, ...]:
@@ -91,11 +96,39 @@ def _segment_layout(d: DerivedSets) -> tuple[Segment, ...]:
     return tuple(segments)
 
 
+def _intervals(spine_len: int, leaf_hosts: Sequence[int]
+               ) -> IntervalRepresentation:
+    """The caterpillar's intervals, in vertex id order.
+
+    Spine position p spans [20p, 20p + 30] and so meets p - 1 and p + 1
+    alone; the leaf on host h spans [20h + 12, 20h + 18], inside h's
+    span and clear of its neighbours'.
+    """
+    intervals = [(20 * p, 20 * p + 30) for p in range(spine_len)]
+    intervals.extend((20 * h + 12, 20 * h + 18) for h in leaf_hosts)
+    return IntervalRepresentation(tuple(intervals))
+
+
+def _caterpillar(spine_len: int, leaf_hosts: Sequence[int]) -> Graph:
+    """The segment model's graph: the spine path 0..spine_len - 1 and a
+    leaf, numbered from spine_len up, on each host in order.
+
+    Every leaf id is above every spine id, so a host's row stays sorted
+    with its leaf appended.
+    """
+    rows = _path_rows(0, spine_len)
+    for leaf, host in enumerate(leaf_hosts, start=spine_len):
+        rows[host] += (leaf,)
+    rows.extend(zip(leaf_hosts))
+    return Graph._of_rows(tuple(rows))
+
+
 def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
     """Build the caterpillar gadget for the instance, with its intervals.
 
-    The graph is produced from the interval representation, then checked
-    against the segment model by gadget.check_model.
+    The graph is built from the segment model, the spine path plus one
+    leaf per comb-interior vertex, and graph.interval_graph_is then
+    checks that the interval representation realises exactly that graph.
     """
     derived = derive_sets(instance)
     segments = _segment_layout(derived)
@@ -106,25 +139,24 @@ def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
         if seg.kind == "comb"
         for h in seg.vertices[1:-1]
     )
-    intervals = [(20 * p, 20 * p + 30) for p in range(spine_len)]
-    intervals.extend((20 * h + 12, 20 * h + 18) for h in leaf_hosts)
-    rep = IntervalRepresentation(tuple(intervals))
-    artifact = IntervalArtifact(
+    graph = _caterpillar(spine_len, leaf_hosts)
+    rep = _intervals(spine_len, leaf_hosts)
+    if not interval_graph_is(rep, graph):
+        raise InternalError("interval representation does not give the "
+                            "spine-plus-leaves caterpillar")
+    if graph.n != 7 * derived.m**2 + 6 * derived.m:
+        raise InternalError(
+            f"caterpillar has {graph.n} vertices, not "
+            f"7m**2 + 6m = {7 * derived.m**2 + 6 * derived.m}"
+        )
+    return IntervalArtifact(
         derived=derived,
         segments=segments,
-        graph=build_interval_graph(rep),
+        graph=graph,
         spine_len=spine_len,
         leaf_hosts=leaf_hosts,
         representation=rep,
     )
-    check_model(artifact, "interval representation does not give the "
-                "spine-plus-leaves caterpillar")
-    if artifact.graph.n != 7 * derived.m**2 + 6 * derived.m:
-        raise InternalError(
-            f"caterpillar has {artifact.graph.n} vertices, not "
-            f"7m**2 + 6m = {7 * derived.m**2 + 6 * derived.m}"
-        )
-    return artifact
 
 
 def partition_to_schedule(

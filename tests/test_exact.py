@@ -59,6 +59,14 @@ class TestPaths:
         assert out.complete and out.rounds_used == res.k == 5
 
 
+def test_cycles_burn_like_paths():
+    # a cycle of n vertices, like a path, burns in ceil(sqrt(n)) rounds
+    # (Bonato, Janssen and Roshanbin); its census takes the closed form
+    for n in range(3, 61):
+        res = exact_burning_number(Graph(n, [(i, (i + 1) % n) for i in range(n)]))
+        assert res.k == math.isqrt(n - 1) + 1, n
+
+
 class TestAgainstBruteForce:
     def test_small_random_graphs(self):
         rng = random.Random(20260815)
@@ -215,9 +223,23 @@ class TestProfile:
         # bin covering decides a path with no BFS at all
         exact_burning_number(build_path(50))
         assert calls == []
-        # every vertex of a cycle has the same eccentricity
+        # every vertex of a cycle has the same eccentricity, which the
+        # closed form reads off after the one BFS that checks the cycle
         exact_burning_number(Graph(60, [(i, (i + 1) % 60) for i in range(60)]))
-        assert len(calls) == 60
+        assert len(calls) == 1
+
+    def test_long_cycle_census_runs_one_bfs(self, monkeypatch):
+        # the bound search would take n / 2 BFS runs here, O(n**2) steps
+        n = 20_000
+        cycle = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        calls = count_calls(monkeypatch, "bfs_distances")
+        schedule = greedy_burn(cycle)  # checked by simulate on the way
+        assert schedule.sources[0] == 0 and len(calls) == 1
+        calls.clear()
+        # the census finishes, then the masks' size guard refuses the search
+        with pytest.raises(BudgetExceededError, match="ball masks"):
+            exact_burning_number(cycle)
+        assert len(calls) == 1
 
     def test_one_census_per_call(self, monkeypatch):
         # a path of 9, a star on 4 and a lone vertex: the star's centre

@@ -24,6 +24,7 @@ from burnkit.graph import (
     build_permutation_graph,
     center_and_diameter,
     connected_components,
+    interval_graph_is,
     is_connected,
     path_forest,
     radical_center,
@@ -35,7 +36,7 @@ from burnkit.graph import (
 from burnkit.interval_reduction import construct_ig
 from burnkit.partition import ThreePartitionInstance
 from burnkit.permutation_reduction import construct_px
-from conftest import random_graph
+from conftest import random_graph, random_solvable_instance
 
 
 class TestGraphBasics:
@@ -175,6 +176,11 @@ def _trusted_corpus():
         perm = list(range(1, rng.randint(1, 45) + 1))
         rng.shuffle(perm)
         yield build_permutation_graph(len(perm), perm)
+    instances = [ThreePartitionInstance.of([4, 5, 6]),
+                 ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])]
+    instances += [random_solvable_instance(rng, n)[0] for n in range(1, 5)]
+    for instance in instances:
+        yield construct_ig(instance).graph
 
 
 class TestTrustedRows:
@@ -189,7 +195,7 @@ class TestTrustedRows:
             assert type(g.adjacency) is tuple
             assert all(type(row) is tuple for row in g.adjacency)
             count += 1
-        assert count == 900 + 500 + 39 + 130 + 150 + 150
+        assert count == 900 + 500 + 39 + 130 + 150 + 150 + 6
 
     def test_generators_bypass_the_validating_constructor(self, monkeypatch):
         def refuse(self, n, edges):
@@ -254,6 +260,78 @@ class TestTrustedRows:
             assert g.n == h.number_of_nodes()
             want = sorted(tuple(sorted(e)) for e in h.edges)
             assert list(g.edges()) == want
+
+
+def _random_spans(rng: random.Random) -> list[tuple[int, int]]:
+    """Closed intervals on small coordinates, negative ones included:
+    nested and identical spans come up by chance, and touching ones are
+    added on purpose ([a, b] and [b, c] meet at b)."""
+    spans = []
+    for _ in range(rng.randint(1, 30)):
+        lo = rng.randint(-25, 25)
+        spans.append((lo, lo + rng.randint(0, 8)))
+    for _ in range(rng.randint(0, 3)):
+        lo, hi = rng.choice(spans)
+        spans.append(rng.choice([(hi, hi + rng.randint(0, 4)),
+                                 (lo - rng.randint(0, 4), lo),
+                                 (lo, hi)]))
+    rng.shuffle(spans)
+    return spans
+
+
+class TestIntervalGraphIs:
+    """interval_graph_is against the graph build_interval_graph sweeps."""
+
+    def test_agrees_with_the_built_graph(self):
+        rng = random.Random(2101)
+        reps = [IntervalRepresentation(((3, 3),)),
+                IntervalRepresentation(((-4, -1), (-1, 2), (2, 2), (-4, 2)))]
+        reps += [IntervalRepresentation(tuple(_random_spans(rng)))
+                 for _ in range(300)]
+        matched = 0
+        for rep, other in zip(reps, reps[1:] + reps[:1]):
+            g = build_interval_graph(rep)
+            assert interval_graph_is(rep, g), rep
+            # another representation's graph, equal only by chance
+            h = build_interval_graph(other)
+            assert interval_graph_is(rep, h) == (g == h), (rep, other)
+            matched += g == h
+        assert matched < len(reps) // 10
+
+    def test_rejects_one_edge_off(self):
+        rng = random.Random(2102)
+        for _ in range(200):
+            rep = IntervalRepresentation(tuple(_random_spans(rng)))
+            g = build_interval_graph(rep)
+            edges = list(g.edges())
+            have = set(edges)
+            missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if (u, v) not in have]
+            wrong = []
+            if edges:
+                kept = edges.copy()
+                kept.pop(rng.randrange(len(kept)))
+                wrong.append(kept)  # one dropped: the count differs
+                if missing:  # one moved: the count holds
+                    wrong.append(kept + [rng.choice(missing)])
+            if missing:
+                wrong.append(edges + [rng.choice(missing)])  # one added
+            for bad in wrong:
+                assert not interval_graph_is(rep, Graph(g.n, bad)), rep
+            # the same edges on one vertex more, or one fewer
+            assert not interval_graph_is(rep, Graph(g.n + 1, edges))
+            if g.n > 1 and not g.adjacency[-1]:
+                assert not interval_graph_is(rep, Graph(g.n - 1, edges))
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2103)
+        for _ in range(80):
+            spans = list(dict.fromkeys(_random_spans(rng)))  # distinct
+            ident = {span: i for i, span in enumerate(spans)}
+            h = nx.interval_graph(spans)
+            g = Graph(len(spans), [(ident[a], ident[b]) for a, b in h.edges])
+            assert interval_graph_is(IntervalRepresentation(tuple(spans)), g)
 
 
 class TestDistances:
@@ -419,7 +497,13 @@ class TestCentreAndDiameter:
         yield Graph(6, [])
         for n in range(2, 32):  # odd and even: the middle tie on even ones
             yield build_path(n)
+        for n in range(3, 61):  # cycles take the closed form
             yield Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        # a cycle on shuffled ids beside a path, and a cycle with a tail
+        ids = [3 + 7 * i % 17 for i in range(17)]
+        yield Graph(20, [(0, 1), (1, 2), *zip(ids, ids[1:] + ids[:1])])
+        yield Graph(9, [*((i, (i + 1) % 7) for i in range(7)), (6, 7),
+                        (7, 8)])
         for n in range(2, 9):
             yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         for rows in range(1, 8):

@@ -15,6 +15,7 @@ from burnkit.gadget import derive_sets, settle_block_triples
 from burnkit import interval_reduction
 from burnkit.graph import (
     Graph,
+    IntervalRepresentation,
     build_interval_graph,
     read_intervals,
     write_intervals,
@@ -31,7 +32,7 @@ from burnkit.partition import (
     solve_3partition,
     verify_partition,
 )
-from conftest import small_solvable_instances
+from conftest import random_solvable_instance, small_solvable_instances
 
 WORKED = ThreePartitionInstance.of([10, 11, 12, 14, 15, 16])
 WORKED_SOLUTION = Partition3.of([(10, 14, 15), (11, 12, 16)])
@@ -82,6 +83,24 @@ def alternate_schedule(
     placed.sort()
     assert [t for t, _ in placed] == list(range(1, k + 1))
     return [c for _, c in placed]
+
+
+def corrupt(monkeypatch, helper: str, change) -> None:
+    """Pass what construct_ig's helper returns through change.
+
+    construct_ig builds its graph with _caterpillar and lays out its
+    intervals with _intervals; corrupting either must trip the check
+    that the intervals realise the graph.
+    """
+    real = getattr(interval_reduction, helper)
+    monkeypatch.setattr(interval_reduction, helper,
+                        lambda *args: change(real(*args)))
+
+
+def move_last_leaf(
+    rep: IntervalRepresentation, to: tuple[int, int]
+) -> IntervalRepresentation:
+    return IntervalRepresentation(rep.intervals[:-1] + (to,))
 
 
 class TestDerivedSets:
@@ -148,29 +167,45 @@ class TestConstruction:
         rebuilt = build_interval_graph(read_intervals(text))
         assert rebuilt == worked_art.graph
 
+    def test_graph_equals_the_interval_sweep(self):
+        # the graph comes from the segment model; sweeping the intervals
+        # it was checked against must give it back, edge for edge
+        rng = random.Random(2104)
+        instances = [TINY, WORKED]
+        instances += [random_solvable_instance(rng, n, slack)[0]
+                      for n in range(1, 7) for slack in (0, 1, 3)]
+        for instance in instances:
+            art = construct_ig(instance)
+            swept = build_interval_graph(art.representation)
+            assert art.graph == swept, instance
+            assert art.graph.m == swept.m and hash(art.graph) == hash(swept)
 
     def test_self_check_rejects_a_wrong_graph(self, monkeypatch):
-        def drop_last_edge(rep):
-            g = build_interval_graph(rep)
-            return Graph(g.n, list(g.edges())[:-1])
-
-        monkeypatch.setattr(
-            interval_reduction, "build_interval_graph", drop_last_edge
-        )
-        with pytest.raises(AssertionError, match="caterpillar"):
-            construct_ig(TINY)
+        # one edge fewer on either side, so the meeting-pair count differs
+        for helper, change in [
+            ("_caterpillar", lambda g: Graph(g.n, list(g.edges())[:-1])),
+            # the last leaf moved left of the spine, where it meets nothing
+            ("_intervals", lambda rep: move_last_leaf(rep, (-10, -5))),
+        ]:
+            with monkeypatch.context() as patched:
+                corrupt(patched, helper, change)
+                with pytest.raises(AssertionError, match="caterpillar"):
+                    construct_ig(TINY)
 
     def test_self_check_rejects_a_moved_edge(self, monkeypatch):
         # same edge count, so only the edge-by-edge comparison sees it
-        def move_last_edge(rep):
-            g = build_interval_graph(rep)
+        def move_last_edge(g):
             return Graph(g.n, [*list(g.edges())[:-1], (0, g.n - 1)])
 
-        monkeypatch.setattr(
-            interval_reduction, "build_interval_graph", move_last_edge
-        )
-        with pytest.raises(AssertionError, match="caterpillar"):
-            construct_ig(TINY)
+        for helper, change in [
+            ("_caterpillar", move_last_edge),
+            # the last leaf moved inside spine vertex 0's span alone
+            ("_intervals", lambda rep: move_last_leaf(rep, (12, 18))),
+        ]:
+            with monkeypatch.context() as patched:
+                corrupt(patched, helper, change)
+                with pytest.raises(AssertionError, match="caterpillar"):
+                    construct_ig(TINY)
 
 
 class TestForward:

@@ -59,8 +59,8 @@ settle = gadget.settle_block_triples
 gadget.settle_block_triples = lambda *args: Partition3.of([(4, 5, 7)])
 expect("read-off", lambda: gadget.read_off_partition(ART, WITNESS))
 gadget.settle_block_triples = settle
-interval_reduction.build_interval_graph = drop_last_edge(
-    interval_reduction.build_interval_graph
+interval_reduction._caterpillar = drop_last_edge(
+    interval_reduction._caterpillar
 )
 expect("interval", lambda: interval_reduction.construct_ig(TINY))
 permutation_reduction.build_permutation_graph = drop_last_edge(
