@@ -224,20 +224,33 @@ def _greedy_census(
     source reaches stay tied there.  Each later round lights the first
     vertex of latest burn time, the smallest id on ties, and the run
     ends once everything burns by the current round.
+
+    That vertex comes from a cursor, not a scan of the whole field per
+    round.  Burn times only go down and none sits above the latest one,
+    `last`, so while `last` stays the latest the first id holding it
+    never moves left: the search resumes at the cursor `at`.  Only when
+    no id from `at` on holds `last` any more is the field scanned for
+    the new latest time and its first id.
     """
     components = connected_components(g)
     largest = min(components, key=lambda c: (-len(c), c[0]))
     x, diameter = center_and_diameter(g, largest)
-    burns_at = [2 * g.n + 2] * g.n
+    last = 2 * g.n + 2
+    burns_at = [last] * g.n
     sources = []
-    t = 1
+    at = t = 0
     while True:
+        t += 1
         sources.append(x)
         _ignite(g.adjacency, burns_at, x, t)
-        last = max(burns_at)
+        try:
+            x = burns_at.index(last, at)
+        except ValueError:
+            last = max(burns_at)
+            x = burns_at.index(last)
         if last <= t:
             break
-        x, t = burns_at.index(last), t + 1
+        at = x
     sched = BurningSchedule.of(sources)
     if not simulate(g, sched).complete:
         raise InternalError("greedy schedule does not burn the whole graph")

@@ -239,10 +239,13 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         specs = [GridSpec(side, side) for side in args.sweep]
         for spec in specs:
             _check_order(spec.n, "grid")
-        # imported here: only the sweep starts workers
+        # imported here: only the sweep starts workers.  A forked pool
+        # starts all of its workers at the first submit, so it gets no
+        # more of them than there are sides to burn.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs or os.cpu_count() or 1, len(specs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(burn_grid_2approx, specs))
         for report in reports:
             payload = _grid_payload(report)

@@ -15,6 +15,13 @@ build: equal adjacency, m and hash.  `interval_reduction.construct_ig`
 builds its caterpillar's rows the same way, from the gadget's segment
 model.
 
+A generator's rows also share one int object per vertex id: they are
+cut from one `list(range(n))`, not filled with a fresh int per entry,
+so a walk over a grid touches n int objects rather than about 4n.
+That holds for the generators only (and the caterpillar's spine rows).
+`Graph(n, edges)` keeps the ints its caller passed: interning them
+there measured no gain on trees or parsed files.
+
 `interval_graph_is(rep, g)` decides whether g is exactly the
 intersection graph of an interval representation without building
 one: it counts the meeting pairs in one endpoint sweep and tests each
@@ -91,7 +98,9 @@ class Graph:
 
         For generators only: rows must already meet the class invariant
         (sorted, duplicate-free, loop-free, symmetric tuples), since
-        nothing here checks it.
+        nothing here checks it.  The generators also pass rows that hold
+        one int object per vertex id; `Graph(n, edges)` does not
+        promise that.
         """
         g = cls.__new__(cls)
         g.n = len(rows)
@@ -152,13 +161,16 @@ class IntervalRepresentation:
 
 
 def _path_rows(
-    lo: int, t: int, up: tuple[int, ...] = (), down: tuple[int, ...] = ()
+    ids: list[int], lo: int, t: int,
+    up: tuple[int, ...] = (), down: tuple[int, ...] = (),
 ) -> list[tuple[int, ...]]:
     """Rows of the path lo, lo+1, ..., lo+t-1, in id order.
 
     Every vertex v of it is also joined to v + s for each offset s in
     `up` (negative) and `down` (positive).  Unless t == 1 the offsets
-    lie outside -1..1, so each row comes out sorted.
+    lie outside -1..1, so each row comes out sorted.  Entries are taken
+    from `ids`, the list of every id of the graph, so a row holds the
+    graph's one int object per vertex rather than a fresh one.
     """
     hi = lo + t
     if t == 1:
@@ -170,7 +182,7 @@ def _path_rows(
     rows: list[tuple[int, ...]] = []
     for a, b, offsets in spans:
         if offsets:
-            rows.extend(zip(*(range(a + s, b + s) for s in offsets)))
+            rows.extend(zip(*(ids[a + s:b + s] for s in offsets)))
         else:
             rows.extend([()] * (b - a))
     return rows
@@ -180,17 +192,18 @@ def build_path(n: int) -> Graph:
     """Path on n vertices: 0-1-...-(n-1)."""
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
-    return Graph._of_rows(tuple(_path_rows(0, n)))
+    return Graph._of_rows(tuple(_path_rows(list(range(n)), 0, n)))
 
 
 def build_grid(rows: int, cols: int) -> Graph:
     """rows x cols grid; cell (r, c) is vertex r*cols + c, 4-neighborhood."""
     if rows < 1 or cols < 1:
         raise GraphError(f"grid needs positive sides, got {rows}x{cols}")
+    ids = list(range(rows * cols))
     adj: list[tuple[int, ...]] = []
     for r in range(rows):
         # each grid row is a path, joined to the grid rows above and below
-        adj.extend(_path_rows(r * cols, cols,
+        adj.extend(_path_rows(ids, r * cols, cols,
                               (-cols,) if r else (),
                               (cols,) if r + 1 < rows else ()))
     return Graph._of_rows(tuple(adj))
@@ -204,7 +217,8 @@ def build_path_forest(lengths: Sequence[int]) -> Graph:
         if t < 1:
             raise GraphError(f"component order must be >= 1, got {t}")
     # one path through every id, cut between consecutive components
-    adj = _path_rows(0, sum(lengths))
+    n = sum(lengths)
+    adj = _path_rows(list(range(n)), 0, n)
     cut = 0
     for t in lengths[:-1]:
         cut += t
@@ -225,12 +239,12 @@ def build_comb(spine: int) -> Graph:
         return build_path(spine)
     # host h sits between h-1 and h+1 and carries leaf spine+h-1, whose
     # row is h alone
+    ids = list(range(2 * spine - 2))
     return Graph._of_rows((
-        (1,),
-        *zip(range(0, spine - 2), range(2, spine),
-             range(spine, 2 * spine - 2)),
-        (spine - 2,),
-        *zip(range(1, spine - 1)),
+        (ids[1],),
+        *zip(ids[:spine - 2], ids[2:spine], ids[spine:]),
+        (ids[spine - 2],),
+        *zip(ids[1:spine - 1]),
     ))
 
 
@@ -306,21 +320,22 @@ def build_permutation_graph(size: int, perm: Sequence[int]) -> Graph:
         raise GraphError(f"not a permutation of 1..{size}")
     # sweep left to right: the larger values already seen are exactly
     # the ones that invert against the current value, each pair once
-    seen: list[int] = []  # ascending
+    ids = list(range(size))
+    seen: list[int] = []  # the vertices of the values seen, ascending
     adj: list[list[int]] = [[] for _ in range(size)]
     m = 0
     for value in perm:
-        at = bisect_right(seen, value)
+        v = ids[value - 1]
+        at = bisect_right(seen, v)
         m += len(seen) - at  # the inversions value adds
         if m > _MAX_SWEPT_EDGES:
             raise GraphError(f"permutation graph exceeds the limit of "
                              f"{_MAX_SWEPT_EDGES} edges")
-        v = value - 1
         row = adj[v]
         for w in seen[at:]:
-            row.append(w - 1)
-            adj[w - 1].append(v)
-        seen.insert(at, value)
+            row.append(w)
+            adj[w].append(v)
+        seen.insert(at, v)
     return Graph._of_rows(tuple(tuple(sorted(row)) for row in adj))
 
 

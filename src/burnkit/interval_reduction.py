@@ -114,9 +114,12 @@ def _caterpillar(spine_len: int, leaf_hosts: Sequence[int]) -> Graph:
     leaf, numbered from spine_len up, on each host in order.
 
     Every leaf id is above every spine id, so a host's row stays sorted
-    with its leaf appended.
+    with its leaf appended.  The spine's rows share one int object per
+    id through _path_rows; the leaf rows keep the hosts as the model
+    gives them, since sharing those too cost more to build than the
+    walks saved.
     """
-    rows = _path_rows(0, spine_len)
+    rows = _path_rows(list(range(spine_len)), 0, spine_len)
     for leaf, host in enumerate(leaf_hosts, start=spine_len):
         rows[host] += (leaf,)
     rows.extend(zip(leaf_hosts))

@@ -330,6 +330,29 @@ class TestGreedy:
         for g in graphs:
             assert greedy_burn(g) == reference_greedy_burn(g)
 
+    def test_matches_reference_where_the_farthest_cursor_moves(self):
+        rng = random.Random(22)
+        tree = Graph(1000, [(rng.randrange(v), v) for v in range(1, 1000)])
+        # three legs of 20 on hub 0: once every leg end burns, the
+        # latest burn time falls by more than one in a round
+        spider = Graph(61, [(0 if i % 20 == 1 else i - 1, i)
+                            for i in range(1, 61)])
+        maxima = []
+        burns_at = [2 * spider.n + 2] * spider.n
+        for t, x in enumerate(greedy_burn(spider), start=1):
+            burning._ignite(spider.adjacency, burns_at, x, t)
+            maxima.append(max(burns_at))
+        assert any(a - b > 1 for a, b in zip(maxima, maxima[1:]))
+        # isolated vertices tie at the start value across components
+        forests = [
+            build_path_forest([1] * 150 + [40] + [1] * 150),
+            Graph(400, [(v - 1, v) for v in range(101, 130)]),
+        ]
+        graphs = [build_path(580), build_path(772), build_comb(260),
+                  tree, spider, *forests]
+        for g in graphs:
+            assert greedy_burn(g) == reference_greedy_burn(g), g
+
     def test_checks_its_own_schedule(self, monkeypatch):
         # the check is handed the schedule without its last source
         monkeypatch.setattr(burning, "simulate",

@@ -438,6 +438,40 @@ class TestGrid:
         assert captured.err == "error: grid sides must be positive, got 0x0\n"
         assert captured.out == "" and started == []
 
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (["--jobs", "5000"], 64, 3),
+        (["--jobs", "2"], 64, 2),
+        ([], 64, 3),
+        ([], 2, 2),
+        ([], None, 1),
+    ])
+    def test_sweep_starts_no_more_workers_than_sides(
+        self, monkeypatch, capsys, jobs, cpus, workers
+    ):
+        # a forked pool starts every worker at once, so the stub records
+        # the worker count and burns the sides in process
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(["grid", "--sweep", "3", "5", "7", *jobs]) == 0
+        assert started == [workers]
+        assert capsys.readouterr().out.startswith("3x3: rounds=")
+
     def test_rows_required_without_sweep(self):
         assert main(["grid", "--rows", "5"]) == 2
 
