@@ -28,15 +28,16 @@ from .burning import (
     write_schedule,
 )
 from .errors import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     ExtractionError,
     InputError,
     InternalError,
     ScheduleError,
 )
-from .exact import DEFAULT_NODE_BUDGET, exact_burning_number
+from .exact import exact_burning_number
 from .graph import (
-    _MAX_READ_ORDER,
+    _check_order,
     build_grid,
     build_interval_graph,
     build_path,
@@ -49,12 +50,14 @@ from .graph import (
 )
 from .grid import GridSpec, burn_grid_2approx
 from .interval_reduction import (
+    IntervalArtifact,
     construct_ig,
     partition_to_schedule,
     schedule_to_partition,
 )
 from .partition import read_instance, solve_3partition, write_instance
 from .permutation_reduction import (
+    PermutationArtifact,
     construct_px,
     partition_to_schedule_pg,
     read_permutation,
@@ -102,14 +105,6 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
-
-
-def _check_order(n: int, what: str) -> None:
-    """Refuse, before anything is built, a graph of more vertices than
-    read_graph accepts."""
-    if n > _MAX_READ_ORDER:
-        raise InputError(f"{what} of {n} vertices exceeds the limit of "
-                         f"{_MAX_READ_ORDER}")
 
 
 def _triples_text(partition) -> str:
@@ -318,7 +313,7 @@ def _gadget_table() -> dict[str, _Gadget]:
         "ig": _Gadget(
             noun="interval",
             construct=construct_ig,
-            order=lambda m: 7 * m * m + 6 * m,
+            order=IntervalArtifact.order_of,
             forward=partition_to_schedule,
             reverse=schedule_to_partition,
             emits=(
@@ -334,7 +329,7 @@ def _gadget_table() -> dict[str, _Gadget]:
         "pg": _Gadget(
             noun="permutation",
             construct=construct_px,
-            order=lambda m: m * m,
+            order=PermutationArtifact.order_of,
             forward=partition_to_schedule_pg,
             reverse=schedule_to_partition_pg,
             emits=(

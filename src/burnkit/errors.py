@@ -27,6 +27,10 @@ class ScheduleError(BurnkitError):
     at the start of its round."""
 
 
+# every search's node budget unless its caller, or the CLI's user, names one
+DEFAULT_NODE_BUDGET = 2_000_000
+
+
 class BudgetExceededError(BurnkitError):
     """A backtracking search ran out of its node budget before concluding."""
 

@@ -56,11 +56,10 @@ from itertools import accumulate
 from operator import or_
 
 from .burning import BurningSchedule, _greedy_census, _walk_fire
-from .errors import BudgetExceededError, InternalError
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InternalError
 from .graph import Graph, center_and_diameter, path_forest
 from .intmath import ceil_sqrt
 
-DEFAULT_NODE_BUDGET = 2_000_000
 _MEMO_CAP = 500_000
 # list slots _Profile.around keeps over a ladder: one per centre listed
 # for a target and one per ball padded onto a short row; past it, lists

@@ -12,11 +12,7 @@ exactly; each block is then tiled by one solution triple.
 This module owns that argument once: the derived sets, the segment
 record and its vertex-to-(segment, offset) map, the forward placement
 of a solution's clusters, and the reverse check that reads a solution
-back off any schedule of the target length.  It also holds check_model,
-the check that a built graph is exactly the one its segment paths
-describe, which serves the permutation gadget: that gadget's graph
-comes from a permutation, while the interval gadget's graph is built
-from its model directly and its intervals are checked against it.
+back off any schedule of the target length.
 """
 
 from __future__ import annotations
@@ -122,28 +118,6 @@ class GadgetArtifact:
         for leaf, host in self.leaf_folds():
             where[leaf] = where[host]
         return where
-
-
-def check_model(artifact: GadgetArtifact, mismatch: str) -> None:
-    """Raise InternalError(mismatch) unless the graph is the model's.
-
-    The model joins consecutive vertices of each segment's path.  The
-    segments must name every vertex exactly once: a path walked on a
-    wrong graph can stop short of a vertex, which would then go
-    unchecked, and a leaf, which no segment names, fails here too.  The
-    model's edges are then distinct, so the graph must hold each of
-    them and no more.  The permutation gadget, a path forest, is
-    checked this way; the interval gadget is built from its model
-    instead.
-    """
-    paths = [seg.vertices for seg in artifact.segments]
-    named = [v for path in paths for v in path]
-    edges = [e for path in paths for e in zip(path, path[1:])]
-    adj = artifact.graph.adjacency
-    if (sorted(named) != list(range(len(adj)))
-            or artifact.graph.m != len(edges)
-            or not all(v in adj[u] for u, v in edges)):
-        raise InternalError(mismatch)
 
 
 def place_clusters(

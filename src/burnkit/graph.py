@@ -41,8 +41,9 @@ VertexSet = frozenset[int]
 
 UNREACHED = -1
 
-# read_graph's cap on n, checked before allocating; 450x450 grids fit
+# _check_order's cap on n, checked before allocating; 450x450 grids fit
 _MAX_READ_ORDER = 1_000_000
+_OWN_ROWS_SHARE = 128  # see center_and_diameter
 # interval and permutation graphs' cap on m, counted as they are swept;
 # a 1000x1000 grid has 1,998,000 edges and both gadgets stay near 1M
 _MAX_SWEPT_EDGES = 2_000_000
@@ -466,8 +467,24 @@ def center_and_diameter(
     vertices has eccentricity len // 2, so its smallest id is the
     centre.  The vertex list must be exactly one component, or
     GraphError is raised.
+
+    A BFS over g allocates and scans g.n entries, so a component of
+    under g.n / _OWN_ROWS_SHARE vertices is searched on its own rows,
+    relabelled 0..len - 1 in id order (the break-even lies between a
+    64th and a 256th of g.n): one search per component of a forest of
+    many small ones then costs linear time in all, not components * n.
     """
-    ids = sorted(component)
+    ids = labels = sorted(component)
+    if (ids and len(ids) * _OWN_ROWS_SHARE < g.n
+            and 0 <= ids[0] and ids[-1] < g.n):
+        index = {v: i for i, v in enumerate(ids)}
+        try:  # id order is kept, so each relabelled row stays sorted
+            rows = tuple(tuple(index[w] for w in g.adjacency[v]) for v in ids)
+        except KeyError:  # an edge leaves the ids
+            rows = ()
+        if not len(rows) == len(index) == len(ids):
+            raise GraphError("centre search needs exactly one component")
+        g, ids = Graph._of_rows(rows), range(len(ids))
     dist = bfs_distances(g, ids[:1])
     # one whole component: distinct vertices of g, as many as the BFS
     # from the first one reached, and each of them reached
@@ -477,7 +494,7 @@ def center_and_diameter(
         raise GraphError("centre search needs exactly one component")
     adj = g.adjacency
     if all(len(adj[v]) == 2 for v in ids):
-        return ids[0], len(ids) // 2
+        return labels[0], len(ids) // 2
     import numpy as np  # loaded only where a centre or diameter is needed
 
     lo = np.zeros(len(ids), dtype=np.int32)
@@ -494,7 +511,7 @@ def center_and_diameter(
         centre_open = lo[c] != hi[c]
         diameter_open = lo.max() != hi.max()
         if not (centre_open or diameter_open):
-            return ids[c], int(lo.max())
+            return labels[c], int(lo.max())
         if centre_open and (toward_centre or not diameter_open):
             u = c
         else:
@@ -525,6 +542,13 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_order(n: int, what: str) -> None:
+    """Refuse a `what` of n vertices, before it is read or built."""
+    if n > _MAX_READ_ORDER:
+        raise GraphError(f"{what} of {n} vertices exceeds the limit of "
+                         f"{_MAX_READ_ORDER}")
+
+
 def read_graph(text: str) -> Graph:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
@@ -534,9 +558,7 @@ def read_graph(text: str) -> Graph:
         edges = [(int(a), int(b)) for a, b in rows[1:]]
     except ValueError as exc:
         raise GraphError(f"unparsable graph text: {exc}") from None
-    if n > _MAX_READ_ORDER:
-        raise GraphError(f"graph of {n} vertices exceeds the limit of "
-                         f"{_MAX_READ_ORDER}")
+    _check_order(n, "graph")
     if len(edges) != m:
         raise GraphError(f"header claims {m} edges, found {len(edges)}")
     for u, v in edges:

@@ -67,6 +67,11 @@ class IntervalArtifact(GadgetArtifact):
         """Schedule length that decides the instance: 2m + 1."""
         return 2 * self.derived.m + 1
 
+    @staticmethod
+    def order_of(m: int) -> int:
+        """Vertices of the gadget whose largest element is m."""
+        return 7 * m * m + 6 * m
+
     def leaf_folds(self) -> Iterable[tuple[int, int]]:
         return enumerate(self.leaf_hosts, start=self.spine_len)
 
@@ -147,10 +152,10 @@ def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
     if not interval_graph_is(rep, graph):
         raise InternalError("interval representation does not give the "
                             "spine-plus-leaves caterpillar")
-    if graph.n != 7 * derived.m**2 + 6 * derived.m:
+    order = IntervalArtifact.order_of(derived.m)
+    if graph.n != order:
         raise InternalError(
-            f"caterpillar has {graph.n} vertices, not "
-            f"7m**2 + 6m = {7 * derived.m**2 + 6 * derived.m}"
+            f"caterpillar has {graph.n} vertices, not 7m**2 + 6m = {order}"
         )
     return IntervalArtifact(
         derived=derived,

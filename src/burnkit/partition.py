@@ -13,9 +13,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BudgetExceededError, InstanceError, InternalError
-
-DEFAULT_NODE_BUDGET = 1_000_000
+from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, InstanceError,
+                     InternalError)
 
 Triple = tuple[int, int, int]
 

@@ -30,7 +30,6 @@ from .errors import GraphError, InstanceError, InternalError
 from .gadget import (
     GadgetArtifact,
     Segment,
-    check_model,
     derive_sets,
     place_clusters,
     read_off_partition,
@@ -45,10 +44,6 @@ class ValueSegment:
 
     first: int
     size: int
-
-    @property
-    def last(self) -> int:
-        return self.first + self.size - 1
 
 
 @dataclass(frozen=True)
@@ -65,6 +60,11 @@ class PermutationArtifact(GadgetArtifact):
     @property
     def target_rounds(self) -> int:
         return self.derived.m
+
+    @staticmethod
+    def order_of(m: int) -> int:
+        """Vertices of the gadget whose largest element is m."""
+        return m * m
 
 
 def path_permutation(first: int, length: int) -> tuple[int, ...]:
@@ -138,39 +138,38 @@ def construct_px(instance: ThreePartitionInstance) -> PermutationArtifact:
     order, m * m vertices in total.  Vertex v stands for value v + 1,
     so each segment's vertices are a consecutive id range.  The segment
     paths are read off the graph by graph.path_forest, which must give
-    exactly those ranges in order, and gadget.check_model then checks
-    the graph against the segment model.
+    exactly those ranges in order.  That pins the graph to the segment
+    model: path_forest's paths hold every vertex once and walk along
+    edges, with every degree at most 2 and no cycle, so the graph has
+    exactly the model's edges.
     """
     derived = derive_sets(instance)
     n = derived.n
     lengths = [derived.shifted_target] * n + list(derived.fillers)
     permutation, values = forest_permutation(lengths)
     graph = build_permutation_graph(len(permutation), permutation)
-    if graph.n != derived.m**2:
+    order = PermutationArtifact.order_of(derived.m)
+    if graph.n != order:
         raise InternalError(
-            f"permutation graph has {graph.n} vertices, not m**2 = "
-            f"{derived.m**2}"
+            f"permutation graph has {graph.n} vertices, not m**2 = {order}"
         )
-    mismatch = "permutation does not give the segment paths"
     # path j must be value segment j: as the paths hold all m * m
     # vertices, its smallest id and its order pin it to that range
     paths = path_forest(graph) or []
     if [(min(path) + 1, len(path)) for path in paths] != [
             (seg.first, seg.size) for seg in values]:
-        raise InternalError(mismatch)
+        raise InternalError("permutation does not give the segment paths")
     segments = tuple(
         Segment("block", j + 1, tuple(path)) if j < n
         else Segment("filler", j - n + 1, tuple(path))
         for j, path in enumerate(paths)
     )
-    artifact = PermutationArtifact(
+    return PermutationArtifact(
         derived=derived,
         segments=segments,
         graph=graph,
         permutation=permutation,
     )
-    check_model(artifact, mismatch)
-    return artifact
 
 
 def partition_to_schedule_pg(

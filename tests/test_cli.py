@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
+import inspect
 import json
 import random
 
 import pytest
 
-from burnkit import burning, cli, exact
+from burnkit import burning, cli, errors, exact
 from burnkit import graph as graph_module
 from burnkit.burning import (
     read_schedule,
@@ -27,6 +29,7 @@ from burnkit.interval_reduction import construct_ig
 from burnkit.partition import (
     Partition3,
     ThreePartitionInstance,
+    solve_3partition,
     verify_partition,
     write_instance,
 )
@@ -361,6 +364,20 @@ class TestGreedyAndExact:
             "error: search budget of 0 nodes exhausted\n"
             "error: solver budget of 0 nodes exhausted\n"
         )
+
+    def test_one_default_budget(self, monkeypatch):
+        # both solvers' defaults and the CLI's, with neither --budget
+        # nor BURN_BUDGET, are the one documented budget
+        monkeypatch.delenv("BURN_BUDGET", raising=False)
+        defaults = {
+            fn.__name__: inspect.signature(fn).parameters[
+                "node_budget"].default
+            for fn in (exact.exact_burning_number, exact.can_burn_in,
+                       solve_3partition)
+        }
+        assert defaults == dict.fromkeys(defaults, 2_000_000)
+        assert cli._budget(argparse.Namespace(budget=None)) == 2_000_000
+        assert errors.DEFAULT_NODE_BUDGET == 2_000_000
 
 
 def test_commands_without_a_burner_leave_numpy_unloaded(

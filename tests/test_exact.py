@@ -260,6 +260,30 @@ class TestProfile:
             assert components == [(g,)]
             assert sorted(centres) == each_once
 
+    def test_smaller_components_search_their_own_rows(self, monkeypatch):
+        # a star on 5 beside 100 stars and 100 paths on 4 each: the
+        # smaller components' centre searches allocate distance lists
+        # of their own 4 vertices, not of all n, so a forest of many
+        # small components costs linear time, not components * n
+        edges = [(0, v) for v in range(1, 5)]
+        for c in range(5, 805, 8):
+            edges += [(c, c + 1), (c, c + 2), (c, c + 3)]
+            edges += [(c + 4, c + 5), (c + 5, c + 6), (c + 6, c + 7)]
+        g = Graph(805, edges)
+        _, components, largest, diameter = burning._greedy_census(g)
+        lengths = []
+        real = graph.bfs_distances
+
+        def recorded(h, sources):
+            dist = real(h, sources)
+            lengths.append(len(dist))
+            return dist
+
+        monkeypatch.setattr(graph, "bfs_distances", recorded)
+        p = exact._Profile(g, components, largest, diameter, radius_cap=2)
+        assert len(lengths) >= 200 and set(lengths) == {4}
+        assert p.diameters == [2] + [2, 3] * 100
+
     def test_a_greedy_fit_stays_in_the_largest_component(self, monkeypatch):
         # two largest components: greedy_burn starts in the first, 5..13;
         # the star on 26..29 keeps the forest off the path-forest route

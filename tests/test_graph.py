@@ -554,6 +554,15 @@ class TestCentreAndDiameter:
             p = rng.choice([0.03, 0.06, 0.1, 0.3])
             yield Graph(n, [(u, v) for u in range(n)
                             for v in range(u + 1, n) if rng.random() < p])
+        # many small components, those under n / 128 vertices searched
+        # on their own rows: random trees, then a sparse G(n, p)
+        edges, n = [], 0
+        for size in [rng.randint(1, 7) for _ in range(150)]:
+            edges += [(n + rng.randrange(v), n + v) for v in range(1, size)]
+            n += size
+        yield Graph(n, edges)
+        yield Graph(700, [(u, v) for u in range(700)
+                          for v in range(u + 1, 700) if rng.random() < 0.002])
 
     def test_matches_brute_force(self):
         for g in self.graphs():
@@ -568,13 +577,16 @@ class TestCentreAndDiameter:
         assert radical_center(build_path(2)) == 0
 
     def test_refuses_a_part_of_a_component(self):
-        g = build_path_forest([3, 6])
-        for part in ([0, 1], [0, 1, 2, 3], [3, 4, 5, 6, 7, 8, 8],
-                     [0, 0, 1], [0, 1, 3], [0, 1, 9]):
-            with pytest.raises(GraphError, match="one component"):
-                center_and_diameter(g, part)
-        with pytest.raises(GraphError, match="no sources"):
-            center_and_diameter(g, [])
+        # alone, and beside 2,000 lone vertices, where the parts are
+        # searched on their own rows
+        for g in (build_path_forest([3, 6]),
+                  build_path_forest([3, 6] + [1] * 2000)):
+            for part in ([0, 1], [0, 1, 2, 3], [3, 4, 5, 6, 7, 8, 8],
+                         [0, 0, 1], [0, 1, 3], [0, 1, 9]):
+                with pytest.raises(GraphError, match="one component"):
+                    center_and_diameter(g, part)
+            with pytest.raises(GraphError, match="no sources"):
+                center_and_diameter(g, [])
 
 
 class TestSerialization:

@@ -154,8 +154,8 @@ class TestConstructPx:
             construct_px(ThreePartitionInstance.of([2, 3, 4]))
 
     def test_model_check_rejects_a_cut_end_vertex(self, monkeypatch):
-        # the walk of the cut segment stops short of the isolated end,
-        # and its rows still match; only the coverage rule sees it
+        # the cut end becomes a path of its own, and the block's walk
+        # stops short of it: the paths no longer match the value ranges
         def cut_end(size, perm):
             g = build_permutation_graph(size, perm)
             block = range(27)  # TINY's block holds vertices 0..26
@@ -185,7 +185,7 @@ class TestConstructPx:
     def test_paths_straddling_two_segments_are_refused(self, monkeypatch):
         # swapping a block vertex with a filler vertex keeps a path
         # forest of the same orders, but two paths now straddle two
-        # value ranges; check_model alone would accept the walked paths
+        # value ranges, which the paths' smallest ids give away
         def swap(size, perm):
             g = build_permutation_graph(size, perm)
             label = list(range(g.n))
@@ -201,6 +201,61 @@ class TestConstructPx:
         with pytest.raises(AssertionError,
                            match="permutation does not give the segment"):
             construct_px(TINY)
+
+    @pytest.mark.parametrize("instance", [
+        TINY, random_solvable_instance(random.Random(23), 3)[0],
+    ], ids=["tiny", "random"])
+    def test_edited_graphs_are_refused_or_give_the_model(
+        self, instance, monkeypatch
+    ):
+        # construct_px checks its graph only through path_forest and the
+        # value ranges: each edit below is refused, or leaves a graph
+        # that is exactly the model of the segments it returns
+        rng = random.Random(2323)
+        model = construct_px(instance)
+        base = build_permutation_graph(len(model.permutation),
+                                       model.permutation)
+        edited = {}
+        monkeypatch.setattr(permutation_reduction,
+                            "build_permutation_graph",
+                            lambda size, perm: edited["graph"])
+        kinds = {"refused": 0, "built": 0}
+        for case in range(240):
+            edges = set(base.edges())
+            for _ in range(1 + case % 3):
+                kind = rng.choice(("relabel", "drop", "add"))
+                if kind == "relabel":  # swap the labels of two vertices
+                    a, b = rng.sample(range(base.n), 2)
+                    label = {a: b, b: a}
+                    edges = {tuple(sorted((label.get(u, u),
+                                           label.get(v, v))))
+                             for u, v in edges}
+                elif kind == "drop" and edges:
+                    edges.discard(rng.choice(sorted(edges)))
+                else:
+                    u, v = sorted(rng.sample(range(base.n), 2))
+                    edges.add((u, v))
+            edited["graph"] = g = Graph(base.n, edges)
+            try:
+                art = construct_px(instance)
+            except AssertionError as exc:
+                assert str(exc) == (
+                    "permutation does not give the segment paths")
+                kinds["refused"] += 1
+                continue
+            kinds["built"] += 1
+            first = 0
+            for seg in art.segments:
+                assert sorted(seg.vertices) == list(
+                    range(first, first + seg.size))
+                first += seg.size
+                path = seg.vertices
+                assert all(v in g.neighbors(u)
+                           for u, v in zip(path, path[1:]))
+            assert [seg.size for seg in art.segments] == [
+                seg.size for seg in model.segments]
+            assert first == g.n and g.m == g.n - len(art.segments)
+        assert min(kinds.values()) > 0, kinds
 
 
 class TestForward:
