@@ -144,11 +144,14 @@ def _gen_grid(args: argparse.Namespace):
 
 def _gen_pg(args: argparse.Namespace):
     perm = read_permutation(_read(args.perm))
+    _check_order(len(perm), "permutation graph")
     return build_permutation_graph(len(perm), perm)
 
 
 def _gen_ig(args: argparse.Namespace):
-    return build_interval_graph(read_intervals(_read(args.intervals)))
+    rep = read_intervals(_read(args.intervals))
+    _check_order(len(rep), "interval graph")
+    return build_interval_graph(rep)
 
 
 _FAMILIES = {
@@ -229,20 +232,15 @@ def _grid_payload(report) -> dict:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     if args.sweep:
-        if args.jobs is not None and args.jobs < 1:
-            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+        ignored = [flag for flag in ("rows", "cols", "out")
+                   if getattr(args, flag) is not None]
+        if ignored:
+            raise InputError("--sweep takes no " +
+                             ", ".join(f"--{flag}" for flag in ignored))
         specs = [GridSpec(side, side) for side in args.sweep]
         for spec in specs:
             _check_order(spec.n, "grid")
-        # imported here: only the sweep starts workers.  A forked pool
-        # starts all of its workers at the first submit, so it gets no
-        # more of them than there are sides to burn.
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(args.jobs or os.cpu_count() or 1, len(specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(burn_grid_2approx, specs))
-        for report in reports:
+        for report in [burn_grid_2approx(spec) for spec in specs]:
             payload = _grid_payload(report)
             del payload["schedule"]
             _emit(args, payload, [
@@ -484,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--cols", type=int)
     grid.add_argument("--sweep", type=int, nargs="+",
                       help="square sides to burn, in order")
-    grid.add_argument("--jobs", type=int, default=None)
     grid.add_argument("--out")
     grid.set_defaults(func=_cmd_grid)
 

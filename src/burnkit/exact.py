@@ -104,18 +104,17 @@ class _Profile:
     whose masks could pass _MAX_MASK_BITS is refused with
     BudgetExceededError before any is built.
 
-    around(t, d) lists the centres within distance d of a search target
-    t, nearest first, read off t's own stored balls: ring j is
-    masks[t][j] minus masks[t][j - 1].  Each centre comes with its row
-    padded to radius_cap + 1 balls, so the search indexes it by radius
-    alone.  A target's list is built on first use, grown when a later
-    node reaches farther, and kept for every later node and k of the
-    ladder while the slots kept stay under _NEAR_CAP.
+    around(t) lists every centre in a search target t's stored balls,
+    nearest first: ring j is masks[t][j] minus masks[t][j - 1].  Each
+    centre comes with its row padded to radius_cap + 1 balls, so the
+    search indexes it by radius alone.  A target's list is built whole
+    on first use and kept for every later node and k of the ladder while
+    the slots kept stay under _NEAR_CAP.
     """
 
     __slots__ = ("graph", "order", "masks", "maxball", "largest", "caps",
                  "components", "comp_mask", "diameters", "width", "near",
-                 "reached", "kept")
+                 "kept")
 
     def __init__(self, g: Graph, components: list[list[int]],
                  largest: list[int], diameter: int, radius_cap: int) -> None:
@@ -159,29 +158,20 @@ class _Profile:
         self.caps = list(accumulate(map(self.maxball_at,
                                         range(radius_cap + 1))))
         self.width = radius_cap + 1
-        # around's lists, each listing every centre nearer than reached
-        self.near: list[list | None] = [None] * n
-        self.reached = [0] * n
+        self.near: list[list | None] = [None] * n  # around's lists
         self.kept = 0
 
-    def around(self, target: int,
-               farthest: int) -> list[tuple[int, int, list[int]]]:
-        """(d, centre, row) for every centre within distance farthest of
-        target and perhaps some farther, nearest first: d is the centre's
-        distance and row its balls, the last repeated up to radius
-        radius_cap where the row stops short.  A kept list grows as
-        later calls ask for farther centres."""
-        near, start = self.near[target], self.reached[target]
-        if start > farthest:
+    def around(self, target: int) -> list[tuple[int, int, list[int]]]:
+        """(d, centre, row) for every centre in target's stored balls,
+        nearest first: d is the centre's distance and row its balls, the
+        last repeated up to radius radius_cap where the row stops short."""
+        near = self.near[target]
+        if near is not None:
             return near
-        near = near or []
         order, masks, width = self.order, self.masks, self.width
-        trow = masks[target]
-        stop = min(farthest + 1, len(trow))
-        size, inner = -len(near), trow[start - 1] if start else 0
-        append = near.append
-        for d in range(start, stop):
-            ring, inner = trow[d] ^ inner, trow[d]
+        near, size, inner = [], 0, 0
+        for d, ball in enumerate(masks[target]):
+            ring, inner = ball ^ inner, ball
             while ring:
                 low = ring & -ring
                 ring ^= low
@@ -190,15 +180,11 @@ class _Profile:
                 if len(row) < width:
                     size += width - len(row)
                     row = row + [row[-1]] * (width - len(row))
-                append((d, v, row))
+                near.append((d, v, row))
         size += len(near)
         if self.kept + size <= _NEAR_CAP:
             self.kept += size
             self.near[target] = near
-            # past the end of trow, no centre is farther
-            self.reached[target] = stop if stop < len(trow) else width
-        else:
-            self.near[target], self.reached[target] = None, 0
         return near
 
     def maxball_at(self, radius: int) -> int:
@@ -316,8 +302,7 @@ def _search(profile: _Profile, k: int, used: int,
         count = uncovered.bit_count()
         pool = uncovered & active or uncovered
         moves: list[tuple[int, int, int, int]] = []
-        for d, v, row in around(order[(pool & -pool).bit_length() - 1],
-                                farthest):
+        for d, v, row in around(order[(pool & -pool).bit_length() - 1]):
             if d > farthest:
                 break
             last_gain = 0

@@ -72,6 +72,11 @@ class IntervalArtifact(GadgetArtifact):
         """Vertices of the gadget whose largest element is m."""
         return 7 * m * m + 6 * m
 
+    @staticmethod
+    def spine_len_of(m: int) -> int:
+        """Spine vertices of the gadget whose largest element is m."""
+        return (2 * m + 1) ** 2
+
     def leaf_folds(self) -> Iterable[tuple[int, int]]:
         return enumerate(self.leaf_hosts, start=self.spine_len)
 
@@ -95,9 +100,10 @@ def _segment_layout(d: DerivedSets) -> tuple[Segment, ...]:
         vertices = tuple(range(start, start + size))
         segments.append(Segment(kind, index, vertices))
         start += size
-    if start != (2 * m + 1) ** 2:
+    spine_len = IntervalArtifact.spine_len_of(m)
+    if start != spine_len:
         raise InternalError(f"segments fill {start} spine vertices, not "
-                            f"(2m + 1)**2 = {(2 * m + 1) ** 2}")
+                            f"(2m + 1)**2 = {spine_len}")
     return tuple(segments)
 
 
@@ -140,7 +146,7 @@ def construct_ig(instance: ThreePartitionInstance) -> IntervalArtifact:
     """
     derived = derive_sets(instance)
     segments = _segment_layout(derived)
-    spine_len = (2 * derived.m + 1) ** 2
+    spine_len = IntervalArtifact.spine_len_of(derived.m)
     leaf_hosts = tuple(
         h
         for seg in segments

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import inspect
 import json
 import random
@@ -428,14 +427,19 @@ class TestGrid:
         payload = json.loads(capsys.readouterr().out)
         assert payload["upper_bound"] is None
 
-    def test_sweep_runs_in_parallel(self, capsys):
-        code = main(["grid", "--sweep", "5", "9", "--jobs", "2",
-                     "--report", "json"])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        payloads = [json.loads(line) for line in lines]
-        assert [p["rows"] for p in payloads] == [5, 9]
-        assert all("schedule" not in p for p in payloads)
+    def test_sweep_lines_match_single_grids(self, capsys):
+        sides = [5, 9, 13]
+        assert main(["grid", "--sweep", *map(str, sides),
+                     "--report", "json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = []
+        for side in sides:
+            assert main(["grid", "--rows", str(side), "--cols", str(side),
+                         "--report", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            del payload["schedule"]
+            want.append(json.dumps(payload, sort_keys=True))
+        assert lines == want
 
     def test_out_holds_the_printed_schedule(self, tmp_path, capsys):
         out = tmp_path / "s.txt"
@@ -444,59 +448,37 @@ class TestGrid:
         payload = json.loads(capsys.readouterr().out)
         assert out.read_text() == write_schedule(payload["schedule"])
 
-    def test_sweep_refuses_a_zero_side_before_any_worker_starts(
+    def test_sweep_refuses_a_zero_side_before_any_side_is_burnt(
         self, monkeypatch, capsys
     ):
-        started = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda **kwargs: started.append(kwargs))
+        burnt = []
+        monkeypatch.setattr(cli, "burn_grid_2approx", burnt.append)
         assert main(["grid", "--sweep", "3", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: grid sides must be positive, got 0x0\n"
-        assert captured.out == "" and started == []
+        assert captured.out == "" and burnt == []
 
-    @pytest.mark.parametrize("jobs, cpus, workers", [
-        (["--jobs", "5000"], 64, 3),
-        (["--jobs", "2"], 64, 2),
-        ([], 64, 3),
-        ([], 2, 2),
-        ([], None, 1),
-    ])
-    def test_sweep_starts_no_more_workers_than_sides(
-        self, monkeypatch, capsys, jobs, cpus, workers
+    @pytest.mark.parametrize("extra, named", [
+        (["--rows", "3"], "--rows"),
+        (["--cols", "4"], "--cols"),
+        (["--out", "s.sched"], "--out"),
+        (["--rows", "3", "--cols", "4", "--out", "s.sched"],
+         "--rows, --cols, --out"),
+    ], ids=["rows", "cols", "out", "all"])
+    def test_sweep_refuses_the_flags_it_ignores(
+        self, monkeypatch, tmp_path, capsys, extra, named
     ):
-        # a forked pool starts every worker at once, so the stub records
-        # the worker count and burns the sides in process
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        assert main(["grid", "--sweep", "3", "5", "7", *jobs]) == 0
-        assert started == [workers]
-        assert capsys.readouterr().out.startswith("3x3: rounds=")
+        burnt = []
+        monkeypatch.setattr(cli, "burn_grid_2approx", burnt.append)
+        monkeypatch.chdir(tmp_path)
+        assert main(["grid", "--sweep", "5", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --sweep takes no {named}\n"
+        assert captured.out == "" and burnt == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_rows_required_without_sweep(self):
         assert main(["grid", "--rows", "5"]) == 2
-
-    def test_sweep_rejects_zero_jobs(self, capsys):
-        assert main(["grid", "--sweep", "3", "--jobs", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --jobs must be at least 1, got 0\n"
 
 
 class TestSizeGuard:
@@ -511,10 +493,9 @@ class TestSizeGuard:
             raise AssertionError("a refused graph was built")
 
         for name in ("build_path", "build_grid", "build_path_forest",
+                     "build_permutation_graph", "build_interval_graph",
                      "burn_grid_2approx", "construct_ig", "construct_px"):
             monkeypatch.setattr(cli, name, refuse)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            refuse)
         monkeypatch.setattr(cli.random, "Random", refuse)
 
     @pytest.mark.parametrize("argv,what,n", [
@@ -524,14 +505,24 @@ class TestSizeGuard:
         (["gen", "forest", "--random", "1000001"], "forest", 1_000_001),
         (["gen", "forest", "--lengths", "999999", "2"], "forest",
          1_000_001),
+        (["gen", "pg", "--perm", "in.perm"], "permutation graph", 6),
+        (["gen", "ig", "--intervals", "in.ivl"], "interval graph", 6),
     ])
-    def test_gen(self, tmp_path, capsys, argv, what, n):
+    def test_gen(self, tmp_path, monkeypatch, capsys, argv, what, n):
+        # the pg and ig families read their vertices from a file: six
+        # of them, under a cap lowered to five so no large file is made
+        limit = min(self.LIMIT, n - 1)
+        monkeypatch.setattr(graph_module, "_MAX_READ_ORDER", limit)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.perm").write_text(write_permutation(range(1, 7)))
+        (tmp_path / "in.ivl").write_text(write_intervals(
+            IntervalRepresentation(tuple((i, i) for i in range(6)))))
         out = tmp_path / "g.graph"
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err == (f"error: {what} of {n} vertices exceeds "
-                                f"the limit of {self.LIMIT}\n")
+                                f"the limit of {limit}\n")
 
     @pytest.mark.parametrize("argv,n", [
         (["grid", "--rows", "1001", "--cols", "1000"], 1_001_000),

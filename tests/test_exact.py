@@ -586,21 +586,24 @@ class TestCentreLists:
             for cap in range(5):
                 p = profile(g, cap)
                 for t in range(g.n):
-                    # lists grow on farther asks and are reused on nearer
-                    for farthest in rng.sample(range(cap + 1), cap + 1):
-                        near = p.around(t, farthest)
-                        assert [d for d, _, _ in near] == sorted(
-                            dist[t][v] for _, v, _ in near)
-                        assert all(d <= cap for d, _, _ in near)
-                        listed = [v for _, v, _ in near]
-                        assert len(set(listed)) == len(listed)
-                        assert set(listed) >= {
-                            v for v in range(g.n) if 0 <= dist[t][v] <= farthest
-                        }
-                        for _, v, row in near:
-                            ball = p.masks[v]
-                            assert row == ball + [ball[-1]] * (
-                                cap + 1 - len(ball))
+                    near = p.around(t)
+                    assert p.around(t) is near  # built once, then kept
+                    # every centre in t's stored balls, each once, at its
+                    # distance from t, nearest first
+                    reach = len(p.masks[t]) - 1
+                    assert reach <= cap
+                    listed = [v for _, v, _ in near]
+                    assert sorted(listed) == [
+                        v for v in range(g.n) if 0 <= dist[t][v] <= reach
+                    ]
+                    assert [d for d, _, _ in near] == [
+                        dist[t][v] for v in listed]
+                    assert [d for d, _, _ in near] == sorted(
+                        d for d, _, _ in near)
+                    for _, v, row in near:
+                        ball = p.masks[v]
+                        assert row == ball + [ball[-1]] * (
+                            cap + 1 - len(ball))
 
     @pytest.mark.parametrize("cap", [0, 40])
     def test_a_capped_cache_changes_nothing(self, cap, monkeypatch):
@@ -609,12 +612,12 @@ class TestCentreLists:
         graphs += [random_graph(rng, 16, 0.2) for _ in range(10)]
         want = [search_outcomes(g) for g in graphs]
         uncapped = profile(build_grid(6, 6), 4)
-        lists = [uncapped.around(t, 4) for t in range(36)]
+        lists = [uncapped.around(t) for t in range(36)]
         assert uncapped.kept > cap
         monkeypatch.setattr(exact, "_NEAR_CAP", cap)
         assert [search_outcomes(g) for g in graphs] == want
         capped = profile(build_grid(6, 6), 4)
-        assert [capped.around(t, 4) for t in range(36)] == lists
+        assert [capped.around(t) for t in range(36)] == lists
         assert capped.kept <= cap
         assert sum(near is not None for near in capped.near) < 36
 
