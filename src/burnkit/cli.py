@@ -34,6 +34,7 @@ from .errors import (
     InputError,
     InternalError,
     ScheduleError,
+    check_node_budget,
 )
 from .exact import exact_burning_number
 from .graph import (
@@ -55,7 +56,7 @@ from .interval_reduction import (
     partition_to_schedule,
     schedule_to_partition,
 )
-from .partition import read_instance, solve_3partition, write_instance
+from .partition import read_instance, solve_3partition
 from .permutation_reduction import (
     PermutationArtifact,
     construct_px,
@@ -80,8 +81,7 @@ def _budget(args: argparse.Namespace) -> int:
             budget, source = int(env), "BURN_BUDGET"
         except ValueError:
             raise InputError(f"BURN_BUDGET must be an integer, got {env!r}")
-    if budget < 0:
-        raise InputError(f"{source} must be at least 0, got {budget}")
+    check_node_budget(budget, source)
     return budget
 
 
@@ -117,6 +117,8 @@ def _triples_text(partition) -> str:
 def _gen_forest(args: argparse.Namespace):
     lengths = list(args.lengths or ())
     if args.random:
+        if args.random < 0:
+            raise InputError(f"--random must be at least 0, got {args.random}")
         if args.max_len < 1:
             raise InputError(
                 f"--max-len must be at least 1, got {args.max_len}"

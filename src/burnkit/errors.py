@@ -31,6 +31,12 @@ class ScheduleError(BurnkitError):
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
+def check_node_budget(budget: int, source: str = "node_budget") -> None:
+    """Refuse a budget below 0, named by source; 0 reaches the search."""
+    if budget < 0:
+        raise InputError(f"{source} must be at least 0, got {budget}")
+
+
 class BudgetExceededError(BurnkitError):
     """A backtracking search ran out of its node budget before concluding."""
 

@@ -56,7 +56,8 @@ from itertools import accumulate
 from operator import or_
 
 from .burning import BurningSchedule, _greedy_census, _walk_fire
-from .errors import DEFAULT_NODE_BUDGET, BudgetExceededError, InternalError
+from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, InternalError,
+                     check_node_budget)
 from .graph import Graph, center_and_diameter, path_forest
 from .intmath import ceil_sqrt
 
@@ -88,9 +89,10 @@ class _Profile:
     vertex ids but ranks in a degree-then-id order, so that the search's
     pick-the-lowest-set-bit step lands on the most constrained uncovered
     vertex first.  Balls grow by union, ball_{r+1}(v) = ball_r(v) |
-    ball_r(w) over neighbours w, so no BFS runs per vertex: each
-    component's diameter comes from one graph.center_and_diameter call,
-    the largest's from greedy's census.
+    ball_r(w) over neighbours w, so no BFS runs per vertex.  Only the
+    widest diameter is read: the largest component's from greedy's
+    census, then the others', largest first, by center_and_diameter,
+    until one of c vertices has c - 1 <= widest: no later one is wider.
 
     maxball[r], the largest radius-r ball, is exact through radius_cap + 1
     and past it overstated as the largest component.  caps[j], the most
@@ -102,7 +104,8 @@ class _Profile:
 
     Masks take up to n bits for each vertex and stored radius; a graph
     whose masks could pass _MAX_MASK_BITS is refused with
-    BudgetExceededError before any is built.
+    BudgetExceededError before any is built: checked with the widest so
+    far, never too high, before each centre search and after the last.
 
     around(t) lists every centre in a search target t's stored balls,
     nearest first: ring j is masks[t][j] minus masks[t][j - 1].  Each
@@ -113,7 +116,7 @@ class _Profile:
     """
 
     __slots__ = ("graph", "order", "masks", "maxball", "largest", "caps",
-                 "components", "comp_mask", "diameters", "width", "near",
+                 "components", "comp_mask", "widest", "width", "near",
                  "kept")
 
     def __init__(self, g: Graph, components: list[list[int]],
@@ -121,20 +124,24 @@ class _Profile:
         n = g.n
         adj = g.adjacency
         self.graph = g
-        self.components = components
+        self.components = len(components)
         self.largest = len(largest)
-        self.diameters = [
-            diameter if c is largest else center_and_diameter(g, c)[1]
-            for c in components
-        ]
-        widest = max(self.diameters)  # no ball grows past this radius
-        bits = n * n * (min(radius_cap, widest) + 1)
-        if bits > _MAX_MASK_BITS:
-            raise BudgetExceededError(
-                f"ball masks of up to {bits} bits exceed the limit of "
-                f"{_MAX_MASK_BITS}",
-                nodes_explored=0,
-            )
+        widest = diameter  # no ball grows past this radius
+        walk = iter(sorted(components, key=len, reverse=True))
+        while True:
+            bits = n * n * (min(radius_cap, widest) + 1)
+            if bits > _MAX_MASK_BITS:
+                raise BudgetExceededError(
+                    f"ball masks of up to {bits} bits exceed the limit of "
+                    f"{_MAX_MASK_BITS}",
+                    nodes_explored=0,
+                )
+            comp = next(walk, ())  # () ends the walk
+            if len(comp) - 1 <= widest:  # and no later one is larger
+                break
+            if comp is not largest:
+                widest = max(widest, center_and_diameter(g, comp)[1])
+        self.widest = widest
         self.order = sorted(range(n), key=lambda v: (g.degree(v), v))
         ball = [0] * n
         for i, v in enumerate(self.order):
@@ -196,7 +203,7 @@ class _Profile:
         """Largest of the coverage, diameter, and component-count bounds."""
         # staggered balls laid along a diametral path cover at most
         # (2k - 1) + (2k - 3) + ... + 1 = k**2 of its diam + 1 vertices
-        return max(len(self.components), ceil_sqrt(max(self.diameters) + 1),
+        return max(self.components, ceil_sqrt(self.widest + 1),
                    bisect_left(self.caps, self.graph.n) + 1)
 
 
@@ -274,7 +281,7 @@ def _search(profile: _Profile, k: int, used: int,
     A key is (uncovered, radii), both bitmasks."""
     mb = [profile.maxball_at(r) for r in range(k)]
     order, around, comp_mask = profile.order, profile.around, profile.comp_mask
-    widest = max(profile.diameters)  # no centre lies farther from a target
+    widest = profile.widest  # no centre lies farther from a target
     # radii mask -> for each distance d a centre can lie at, its radii
     # r >= d, ascending; and the most vertices its radii cover
     free: dict[int, tuple[list[list[int]], int]] = {}
@@ -452,8 +459,10 @@ def can_burn_in(
     """Return a complete schedule of length <= k, or None if impossible.
 
     Raises BudgetExceededError when the search exhausts node_budget
-    before settling the question either way.
+    before settling the question either way, and InputError on a
+    node_budget below 0.
     """
+    check_node_budget(node_budget)
     if k < 1:
         return None
     k = min(k, g.n)  # no schedule has more than n sources
@@ -467,6 +476,8 @@ def exact_burning_number(
     """Smallest k admitting a complete schedule, with a verified witness.
 
     A path forest climbs k by bin covering, any other graph by the cover
-    search (see _ladder); either way one node budget covers the ladder.
+    search (see _ladder); either way one node budget covers the ladder,
+    and a node_budget below 0 is refused with InputError.
     """
+    check_node_budget(node_budget)
     return _optimum(g, node_budget, path_forest(g))

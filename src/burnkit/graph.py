@@ -445,10 +445,6 @@ def path_forest(g: Graph) -> list[list[int]] | None:
     return paths if sum(map(len, paths)) == g.n else None
 
 
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
-
-
 def center_and_diameter(
     g: Graph, component: Sequence[int]
 ) -> tuple[int, int]:
@@ -518,19 +514,6 @@ def center_and_diameter(
             u = int(hi.argmax())
         toward_centre = not toward_centre
         dist = bfs_distances(g, (ids[u],))
-
-
-def radical_center(g: Graph, component: Sequence[int] | None = None) -> int:
-    """Vertex of minimum eccentricity; smallest id wins ties.
-
-    With a component, the search stays inside it; without one, the graph
-    must be connected.
-    """
-    if component is None:
-        if not is_connected(g):
-            raise GraphError("radical center needs a connected graph")
-        component = range(g.n)
-    return center_and_diameter(g, component)[0]
 
 
 # --- text formats -------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (DEFAULT_NODE_BUDGET, BudgetExceededError, InstanceError,
-                     InternalError)
+                     InternalError, check_node_budget)
 
 Triple = tuple[int, int, int]
 
@@ -116,8 +116,9 @@ def solve_3partition(
     window's top, found by bisection.  Raises BudgetExceededError if
     node_budget search nodes are not enough to settle the instance;
     a node is one placed triple, and the partners a node scans are
-    not counted.
+    not counted.  A node_budget below 0 is refused with InputError.
     """
+    check_node_budget(node_budget)
     validate_instance(instance)
     b = instance.target
     order = sorted(instance.elements, reverse=True)

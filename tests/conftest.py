@@ -27,8 +27,8 @@ from burnkit.graph import (
     UNREACHED,
     ball_distances,
     bfs_distances,
+    center_and_diameter,
     connected_components,
-    radical_center,
 )
 from burnkit.partition import (
     Partition3,
@@ -83,7 +83,7 @@ def reference_greedy_burn(g: Graph) -> BurningSchedule:
     """
     comps = connected_components(g)
     comps.sort(key=lambda c: (-len(c), c[0]))
-    first = radical_center(g, comps[0])
+    first = center_and_diameter(g, comps[0])[0]
     sources = [first]
     burnt: set[int] = set()
     frontier = []

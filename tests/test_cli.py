@@ -78,14 +78,19 @@ class TestGen:
 
     def test_forest_random_rejects_nonpositive_max_len(self, tmp_path,
                                                         capsys):
+        # and a negative --random count, refused before anything is drawn
         out = tmp_path / "x.graph"
-        argv = ["gen", "forest", "--random", "3", "--max-len", "0",
-                "--out", str(out)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --max-len must be at least 1, got 0\n"
-        assert not out.exists()
+        for flags, message in (
+            (["--random", "3", "--max-len", "0"],
+             "--max-len must be at least 1, got 0"),
+            (["--lengths", "3", "--random", "-4"],
+             "--random must be at least 0, got -4"),
+        ):
+            assert main(["gen", "forest", *flags, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_grid_and_explicit_forest(self, tmp_path):
         out = tmp_path / "g.graph"

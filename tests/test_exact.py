@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from burnkit import burning, exact, graph
 from burnkit.burning import greedy_burn, simulate, verify_schedule
-from burnkit.errors import BudgetExceededError
+from burnkit.errors import BudgetExceededError, InputError
 from burnkit.exact import _Profile, can_burn_in, exact_burning_number
 from burnkit.graph import (
     Graph,
@@ -174,6 +174,9 @@ class TestProfile:
     def test_balls_match_a_bfs_oracle(self):
         rng = random.Random(606)
         graphs = [build_comb(6), build_path_forest([4, 1, 6]), Graph(3, [])]
+        # a star on 10 beside a lone vertex and a wider path on 6
+        graphs.append(Graph(17, [(0, v) for v in range(1, 10)]
+                            + [(v, v + 1) for v in range(10, 15)]))
         graphs += [
             random_graph(rng, rng.randint(1, 16), rng.uniform(0.05, 0.3))
             for _ in range(40)
@@ -202,13 +205,11 @@ class TestProfile:
                     if r <= cap + 1:
                         assert p.maxball_at(r) == biggest
                     assert p.maxball_at(r) >= biggest
-                assert p.diameters == [
-                    max(ecc[v] for v in comp) for comp in p.components
-                ]
+                assert p.widest == max(ecc)
 
     def test_no_bfs_per_vertex(self, monkeypatch):
         calls = count_calls(monkeypatch, "bfs_distances")
-        graph.radical_center(build_path(50))
+        graph.center_and_diameter(build_path(50), range(50))
         centre_runs = len(calls)
         assert 0 < centre_runs <= 4
         calls.clear()
@@ -243,10 +244,10 @@ class TestProfile:
 
     def test_one_census_per_call(self, monkeypatch):
         # a path of 9, a star on 4 and a lone vertex: the star's centre
-        # has degree 3, so every run below takes the generic search
+        # has degree 3, so every run below takes the generic search, and
+        # neither the star nor the lone vertex can be wider than the path
         g = Graph(14, [*build_path_forest([9]).edges(),
                        (9, 10), (9, 11), (9, 12)])
-        each_once = sorted((g, c) for c in graph.connected_components(g))
         components = count_calls(monkeypatch, "connected_components")
         centres = count_calls(monkeypatch, "center_and_diameter")
         for run in (
@@ -258,7 +259,7 @@ class TestProfile:
             centres.clear()
             run()
             assert components == [(g,)]
-            assert sorted(centres) == each_once
+            assert centres == [(g, list(range(9)))]
 
     def test_smaller_components_search_their_own_rows(self, monkeypatch):
         # a star on 5 beside 100 stars and 100 paths on 4 each: the
@@ -280,9 +281,31 @@ class TestProfile:
             return dist
 
         monkeypatch.setattr(graph, "bfs_distances", recorded)
-        p = exact._Profile(g, components, largest, diameter, radius_cap=2)
+        smaller = components[1:]
+        assert {graph.center_and_diameter(g, c)[1]
+                for c in smaller} == {2, 3}
         assert len(lengths) >= 200 and set(lengths) == {4}
-        assert p.diameters == [2] + [2, 3] * 100
+        # the profile searches the first star and the first path: no
+        # later component of 4 vertices is wider than 3
+        centres = count_calls(monkeypatch, "center_and_diameter")
+        p = exact._Profile(g, components, largest, diameter, radius_cap=2)
+        assert centres == [(g, smaller[0]), (g, smaller[1])]
+        assert p.widest == 3
+
+    def test_a_forest_of_stars_is_refused_after_one_centre_search(
+        self, monkeypatch
+    ):
+        # 30,000 stars on 4: the masks of the largest one's diameter
+        # already pass the limit, so no other component is searched
+        g = Graph(120_000, [(c, c + i) for c in range(0, 120_000, 4)
+                            for i in (1, 2, 3)])
+        centres = count_calls(monkeypatch, "center_and_diameter")
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_burning_number(g)
+        assert str(exc.value) == ("ball masks of up to 43200000000 bits "
+                                  "exceed the limit of 8589934592")
+        assert exc.value.nodes_explored == 0
+        assert centres == [(g, [0, 1, 2, 3])]
 
     def test_a_greedy_fit_stays_in_the_largest_component(self, monkeypatch):
         # two largest components: greedy_burn starts in the first, 5..13;
@@ -291,7 +314,7 @@ class TestProfile:
                        (26, 27), (26, 28), (26, 29)])
         heuristic = greedy_burn(g)
         calls = count_calls(monkeypatch, "bfs_distances")
-        graph.radical_center(g, range(5, 14))
+        graph.center_and_diameter(g, range(5, 14))
         centre_runs = len(calls)
         calls.clear()
 
@@ -464,6 +487,20 @@ class TestBudget:
             can_burn_in(g, 16, node_budget=3)
         assert str(exc.value) == "search budget of 3 nodes exhausted"
         assert exc.value.nodes_explored == 4
+
+    def test_exact_refuses_a_negative_budget(self):
+        # a star that greedy settles, a path bin covering would search
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        for g in (star, build_path(5)):
+            with pytest.raises(InputError) as exc:
+                exact_burning_number(g, node_budget=-5)
+            assert str(exc.value) == "node_budget must be at least 0, got -5"
+
+    def test_can_burn_in_refuses_a_negative_budget(self):
+        # before k is read: k = 0 alone would return None at once
+        for k in (0, 2, 3):
+            with pytest.raises(InputError, match="got -1$"):
+                can_burn_in(build_path(5), k, node_budget=-1)
 
     def test_result_reports_nodes(self):
         res = exact_burning_number(build_path(16))

@@ -25,9 +25,7 @@ from burnkit.graph import (
     center_and_diameter,
     connected_components,
     interval_graph_is,
-    is_connected,
     path_forest,
-    radical_center,
     read_graph,
     read_intervals,
     write_graph,
@@ -380,17 +378,15 @@ class TestDistances:
         g = build_path_forest([2, 2])
         dist = bfs_distances(g, (0,))
         assert dist[2] == -1 and dist[3] == -1
-        assert not is_connected(g)
+        assert len(connected_components(g)) == 2
 
     def test_radical_center_of_path(self):
-        assert radical_center(build_path(9)) == 4
+        assert center_and_diameter(build_path(9), range(9))[0] == 4
 
     def test_radical_center_within_a_component(self):
         g = build_path_forest([3, 6])
-        assert radical_center(g, [3, 4, 5, 6, 7, 8]) == 5
-        assert radical_center(g, [0, 1, 2]) == 1
-        with pytest.raises(GraphError, match="connected"):
-            radical_center(g)
+        assert center_and_diameter(g, [3, 4, 5, 6, 7, 8])[0] == 5
+        assert center_and_diameter(g, [0, 1, 2])[0] == 1
 
     def test_center_and_diameter_match_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -574,7 +570,7 @@ class TestCentreAndDiameter:
     def test_path_middle_tie_goes_to_smaller_id(self):
         assert center_and_diameter(build_path(10), range(10)) == (4, 9)
         assert center_and_diameter(build_path(9), range(9)) == (4, 8)
-        assert radical_center(build_path(2)) == 0
+        assert center_and_diameter(build_path(2), range(2)) == (0, 1)
 
     def test_refuses_a_part_of_a_component(self):
         # alone, and beside 2,000 lone vertices, where the parts are

@@ -149,6 +149,13 @@ class TestSolver:
         with pytest.raises(InstanceError):
             solve_3partition(ThreePartitionInstance.of([1, 2, 3]))
 
+    def test_a_negative_budget_is_refused_first(self, worked_instance):
+        # before the instance is validated, as well as before any node
+        for inst in (worked_instance, ThreePartitionInstance.of([1, 2, 3])):
+            with pytest.raises(InputError) as exc:
+                solve_3partition(inst, node_budget=-5)
+            assert str(exc.value) == "node_budget must be at least 0, got -5"
+
     def test_budget_exhaustion(self, tiny_instance):
         with pytest.raises(BudgetExceededError) as exc:
             solve_3partition(tiny_instance, node_budget=1)
