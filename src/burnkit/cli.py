@@ -356,7 +356,7 @@ def _construct(gadget: _Gadget, inst):
 def _cmd_reduce(args: argparse.Namespace) -> int:
     gadget = _gadget_table()[args.kind]
     inst = read_instance(_read(args.infile))
-    budget = _budget(args) if args.witness else None  # before any write
+    budget = _budget(args)  # before any write
     art = _construct(gadget, inst)
     for name, writer in gadget.emits:
         path = getattr(args, f"emit_{name}")

@@ -91,8 +91,11 @@ class _Profile:
     vertex first.  Balls grow by union, ball_{r+1}(v) = ball_r(v) |
     ball_r(w) over neighbours w, so no BFS runs per vertex.  Only the
     widest diameter is read: the largest component's from greedy's
-    census, then the others', largest first, by center_and_diameter,
-    until one of c vertices has c - 1 <= widest: no later one is wider.
+    census, then the others', by center_and_diameter, in falling order
+    of reach = min(c - 1, inner + 1) for c vertices of which inner have
+    degree >= 2, as a diametral path's inner vertices do, until one has
+    reach <= widest: no later one is wider.  A connected graph searches
+    no centre here.
 
     maxball[r], the largest radius-r ball, is exact through radius_cap + 1
     and past it overstated as the largest component.  caps[j], the most
@@ -127,7 +130,12 @@ class _Profile:
         self.components = len(components)
         self.largest = len(largest)
         widest = diameter  # no ball grows past this radius
-        walk = iter(sorted(components, key=len, reverse=True))
+
+        def reach(comp: list[int]) -> int:  # bounds comp's diameter
+            return min(len(comp) - 1, sum(len(adj[v]) > 1 for v in comp) + 1)
+
+        walk = iter(sorted((c for c in components if c is not largest),
+                           key=reach, reverse=True))
         while True:
             bits = n * n * (min(radius_cap, widest) + 1)
             if bits > _MAX_MASK_BITS:
@@ -137,10 +145,9 @@ class _Profile:
                     nodes_explored=0,
                 )
             comp = next(walk, ())  # () ends the walk
-            if len(comp) - 1 <= widest:  # and no later one is larger
+            if reach(comp) <= widest:  # and no later one is wider
                 break
-            if comp is not largest:
-                widest = max(widest, center_and_diameter(g, comp)[1])
+            widest = max(widest, center_and_diameter(g, comp)[1])
         self.widest = widest
         self.order = sorted(range(n), key=lambda v: (g.degree(v), v))
         ball = [0] * n

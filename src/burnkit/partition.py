@@ -9,7 +9,6 @@ elsewhere in the package lean on.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -108,30 +107,40 @@ def solve_3partition(
 ) -> Partition3 | None:
     """Find a distinct 3-partition, or prove there is none.
 
-    Backtracks on the largest unplaced element a: with need = B - a,
-    its second member is scanned in decreasing order over the window
-    (need / 2, need - smallest unused], with the third member looked
-    up by value.  A second above that window would leave a third
-    smaller than every unused element, so the scan starts at the
-    window's top, found by bisection.  Raises BudgetExceededError if
-    node_budget search nodes are not enough to settle the instance;
-    a node is one placed triple, and the partners a node scans are
-    not counted.  A node_budget below 0 is refused with InputError.
+    Backtracks on the largest unused element a: with need = B - a, the
+    third member rises from the smallest unused one while 2 * third <
+    need, so the second, need - third, falls; it is looked up by value.
+    The unused elements form a circular, doubly linked list in ascending
+    order (Knuth's dancing links), so the scan visits unused elements
+    only.  Raises BudgetExceededError if node_budget search nodes are
+    not enough to settle the instance; a node is one placed triple, and
+    the thirds a node scans are not counted.  A node_budget below 0 is
+    refused with InputError.
     """
     check_node_budget(node_budget)
     validate_instance(instance)
     b = instance.target
-    order = sorted(instance.elements, reverse=True)
-    rising = [-a for a in order]  # order negated, for bisect
+    order = sorted(instance.elements)
     index_of = {a: i for i, a in enumerate(order)}
     m = len(order)
-    used = [False] * m
-    last = m - 1  # no unused index lies past it: order[last] <= any unused
-    chosen: list[Triple] = []
+    # up[i] and down[i] are the next larger and smaller unused elements,
+    # through the sentinel m: up[m] is the smallest, down[m] the largest
+    up = [*range(1, m + 1), 0]
+    down = [m, *range(m)]
+    free = [True] * m
     spent = 0
 
-    def node(lo: int) -> int:
-        """Count one search node; return its element, the first unused."""
+    def take(i: int) -> None:
+        up[down[i]] = up[i]
+        down[up[i]] = down[i]
+        free[i] = False
+
+    def give(i: int) -> None:  # undoes take(i), in reverse order of takes
+        up[down[i]] = down[up[i]] = i
+        free[i] = True
+
+    def node() -> int:
+        """Count one search node; return its element, the largest unused."""
         nonlocal spent
         spent += 1
         if spent > node_budget:
@@ -139,55 +148,38 @@ def solve_3partition(
                 f"solver budget of {node_budget} nodes exhausted",
                 nodes_explored=spent,
             )
-        while lo < m and used[lo]:
-            lo += 1
-        return lo
+        return down[m]
 
-    # one frame per open node: [its element, partner tried last, its third];
-    # depth grows with the triple count, so the stack is explicit
-    stack: list[list[int]] = []
-    i = node(0)
-    while i < m:
-        used[i] = True
-        stack.append([i, i, -1])
-        while True:  # the deepest open node's next choice, or backtrack
+    def pair(top: int, third: int) -> tuple[int, int] | None:
+        """top's first (second, third) with that third or a larger one."""
+        need = b - order[top]
+        # 3t unused elements sum to t * B and top was the largest, so the
+        # largest one left has 2 * it >= need: this stops before m
+        while 2 * order[third] < need:
+            second = index_of.get(need - order[third])
+            if second is not None and free[second]:
+                return second, third
+            third = up[third]
+        return None
+
+    stack: list[Triple] = []  # (top, second, third) per placed triple
+    while (top := node()) != m:
+        take(top)
+        found = pair(top, up[m])
+        while found is None:  # resume the parent's scan after its third
+            give(top)
             if not stack:
                 return None
-            frame = stack[-1]
-            top, j, k = frame
-            if k >= 0:  # the subtree under this choice failed
-                used[j] = used[k] = False
-                last = max(last, k)
-                chosen.pop()
-            a = order[top]
-            need = b - a
-            # top was the first of a multiple of 3 unused elements, so
-            # at least two lie past it and this stops on one
-            while used[last]:
-                last -= 1
-            # a second above need - order[last] leaves its third below
-            # every unused element: start the scan past all of them
-            start = bisect_left(rising, order[last] - need)
-            k = -1
-            for j in range(max(j + 1, start), m):
-                if used[j]:
-                    continue
-                second = order[j]
-                if 2 * second <= need:
-                    break  # partners only get smaller from here
-                third = index_of.get(need - second)
-                if third is not None and third > j and not used[third]:
-                    k = third
-                    break
-            if k >= 0:
-                break
-            used[top] = False  # below last: two unused lay past it
-            stack.pop()
-        used[j] = used[k] = True
-        chosen.append((need - second, second, a))
-        frame[1], frame[2] = j, k
-        i = node(top + 1)
-    solution = Partition3.of(chosen)
+            top, second, third = stack.pop()
+            give(third)
+            give(second)
+            found = pair(top, up[third])
+        second, third = found
+        take(second)
+        take(third)
+        stack.append((top, second, third))
+    solution = Partition3.of((order[i], order[j], order[k])
+                             for i, j, k in stack)
     if not verify_partition(instance, solution):
         raise InternalError("solver triples do not solve the instance")
     return solution

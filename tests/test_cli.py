@@ -342,6 +342,7 @@ class TestGreedyAndExact:
         ["exact", "--graph", "{graph}"],
         ["3part", "--in", "{instance}"],
         ["reduce-pg", "--in", "{instance}", "--witness", "{witness}"],
+        ["reduce-ig", "--in", "{instance}", "--emit-graph", "{witness}"],
     ], ids=lambda argv: argv[0])
     def test_negative_budget_is_malformed(
         self, argv, tmp_path, monkeypatch, path9_file, instance_file, capsys

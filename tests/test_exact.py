@@ -285,12 +285,24 @@ class TestProfile:
         assert {graph.center_and_diameter(g, c)[1]
                 for c in smaller} == {2, 3}
         assert len(lengths) >= 200 and set(lengths) == {4}
-        # the profile searches the first star and the first path: no
-        # later component of 4 vertices is wider than 3
+        # the profile searches the first path only: a star on 4 has one
+        # vertex of degree >= 2, so it is at most 2 wide, and no later
+        # component of 4 vertices is wider than 3
         centres = count_calls(monkeypatch, "center_and_diameter")
         p = exact._Profile(g, components, largest, diameter, radius_cap=2)
-        assert centres == [(g, smaller[0]), (g, smaller[1])]
+        assert centres == [(g, smaller[1])]
         assert p.widest == 3
+
+    def test_a_forest_of_stars_makes_no_centre_search(self, monkeypatch):
+        # 2,000 stars on 4, each centred on its largest id: every other
+        # star has one inner vertex, so none can be wider than greedy's
+        g = Graph(8000, [(c + 3, c + i) for c in range(0, 8000, 4)
+                         for i in (0, 1, 2)])
+        _, components, largest, diameter = burning._greedy_census(g)
+        centres = count_calls(monkeypatch, "center_and_diameter")
+        p = exact._Profile(g, components, largest, diameter, radius_cap=2)
+        assert centres == []
+        assert p.widest == 2
 
     def test_a_forest_of_stars_is_refused_after_one_centre_search(
         self, monkeypatch

@@ -245,7 +245,7 @@ def identity_battery() -> list[ThreePartitionInstance]:
 
 
 class TestScanIdentity:
-    """The bounded partner scan places what the unbounded scan placed."""
+    """The linked-list scan places and counts what the unbounded scan did."""
 
     def test_same_triples_and_node_counts_as_the_unbounded_scan(self):
         battery = identity_battery()
